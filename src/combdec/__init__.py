@@ -11,16 +11,10 @@ from .analysis import (
     response_sweep,
     sigma_delta_source,
 )
-from .cic import (
-    CicFilter,
-    cic_process,
-    comb_step,
-    integrator_step,
-    truncation_error_bound,
-)
+from .cic import CicFilter, cic_process, truncation_error_bound
 from .fixedpoint import FixedSequence, wrap
-from .mcla import Mcla, critical_path_gates, mcla_add, mcla_add_many
-from .nonrec import NonRecFilter, NonRecStage, nonrec_process, stage_process, twotap_step
+from .mcla import Mcla, critical_path_gates, mcla_add_many
+from .nonrec import NonRecFilter, nonrec_process
 from .oracle import dropped_sample_coefficients, fir_coefficients, fir_decimate
 from .params import (
     ConfigError,
@@ -42,7 +36,6 @@ from .pipeline import (
     clock_table,
     critical_depth,
     estimate_max_clock,
-    pipelined_process,
 )
 from .sampleio import DataFormatError, read_samples, write_samples
 
@@ -55,7 +48,6 @@ __all__ = [
     "InternalError",
     "Mcla",
     "NonRecFilter",
-    "NonRecStage",
     "PipelinedFilter",
     "ResponsePoint",
     "SnrReport",
@@ -66,7 +58,6 @@ __all__ = [
     "cic_process",
     "cic_truncation_plan",
     "clock_table",
-    "comb_step",
     "config_from_text",
     "config_to_text",
     "critical_depth",
@@ -75,22 +66,17 @@ __all__ = [
     "fir_coefficients",
     "fir_decimate",
     "full_precision_plan",
-    "integrator_step",
     "magnitude_response",
     "max_register_growth",
-    "mcla_add",
     "mcla_add_many",
     "measure_snr",
     "nonrec_process",
     "nonrec_width_schedule",
-    "pipelined_process",
     "read_samples",
     "response_sweep",
     "sigma_delta_source",
-    "stage_process",
     "total_width",
     "truncation_error_bound",
-    "twotap_step",
     "wrap",
     "write_samples",
 ]

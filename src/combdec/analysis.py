@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fixedpoint import FixedSequence
-from .params import ConfigError, FilterConfig, is_power_of_two
+from .params import ConfigError, FilterConfig, is_power_of_two, max_register_growth
 
 DB_FLOOR = -400.0
 
@@ -80,7 +80,7 @@ def response_sweep(config: FilterConfig, fs_hz: float, n_points: int):
         raise ConfigError(f"fs_hz must be > 0, got {fs_hz}")
     if n_points < 2:
         raise ConfigError(f"n_points must be >= 2, got {n_points}")
-    dc = float(max_gain(config))
+    dc = float(max_register_growth(config))
     floor_mag = 10.0 ** (DB_FLOOR / 20.0)
     points = []
     for k in range(n_points):
@@ -89,10 +89,6 @@ def response_sweep(config: FilterConfig, fs_hz: float, n_points: int):
         db = 20.0 * math.log10(max(mag / dc, floor_mag))
         points.append(ResponsePoint(freq, mag, db))
     return points
-
-
-def max_gain(config: FilterConfig) -> int:
-    return (config.decim_r * config.diff_delay_m) ** config.order_n
 
 
 def sigma_delta_source(tone_hz: float, amplitude: float, fs_hz: float,

@@ -16,12 +16,10 @@ result.
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
-from .fixedpoint import FixedSequence, to_unsigned, wrap
-from .mcla import Mcla, adder_width
+from .fixedpoint import FixedSequence, array_dtype
+from .mcla import adder_strategy
 from .oracle import dropped_sample_coefficients
 from .params import (
     ConfigError,
@@ -30,26 +28,6 @@ from .params import (
     WordLengthPlan,
     full_precision_plan,
 )
-
-ADDER_MODES = ("fast", "gate-model")
-
-_VECTOR_MAX_WIDTH = 62
-
-
-def integrator_step(acc: int, x: int, width: int) -> int:
-    """One accumulator update: (acc + x) wrapped to width bits."""
-    return wrap(acc + x, width)
-
-
-def comb_step(delay_line, x: int, width: int) -> int:
-    """One comb update: x minus the sample M steps ago, wrapped.
-
-    delay_line is a mutable sequence of the M most recent inputs,
-    oldest first; the new input is pushed as the oldest is consumed.
-    """
-    oldest = delay_line.popleft() if isinstance(delay_line, deque) else delay_line.pop(0)
-    delay_line.append(x)
-    return wrap(x - oldest, width)
 
 
 def _check_plan(config: FilterConfig, plan: WordLengthPlan):
@@ -84,23 +62,19 @@ class CicFilter:
                  adder_mode: str = "fast"):
         if config.arch != "cic":
             raise ConfigError(f"CicFilter needs arch='cic', got {config.arch!r}")
-        if adder_mode not in ADDER_MODES:
-            raise ConfigError(f"adder_mode must be one of {ADDER_MODES}")
+        self._adder = adder_strategy(adder_mode)
         self.config = config
         self.plan = plan if plan is not None else full_precision_plan(config)
         _check_plan(config, self.plan)
         self.adder_mode = adder_mode
         self.output_width = self.plan.stage_widths[-1]
-        self._adders = None
-        if adder_mode == "gate-model":
-            self._adders = [Mcla(adder_width(w)) for w in self.plan.stage_widths]
-            self._comb_adder = Mcla(adder_width(self.output_width))
+        self._dtype = array_dtype(self._adder.operand_bits(max(self.plan.stage_widths)))
         self.reset()
 
     def reset(self):
         n = self.config.order_n
         self._accs = [0] * n
-        self._combs = [deque([0] * self.config.diff_delay_m) for _ in range(n)]
+        self._combs = [np.zeros(self.config.diff_delay_m, self._dtype) for _ in range(n)]
         self._phase = 0
 
     @property
@@ -120,41 +94,10 @@ class CicFilter:
         """
         return tuple(f"integrator{i}" for i in range(self.config.order_n))
 
-    def _add(self, a, b, width, adder):
-        if self.adder_mode == "fast":
-            return wrap(a + b, width)
-        w4 = adder.width
-        s, _ = adder.add(to_unsigned(a, w4), to_unsigned(b, w4), 0)
-        return wrap(s, width)
-
-    def _sub(self, a, b, width, adder):
-        if self.adder_mode == "fast":
-            return wrap(a - b, width)
-        w4 = adder.width
-        s, _ = adder.add(to_unsigned(a, w4), to_unsigned(~b, w4), 1)
-        return wrap(s, width)
-
     def push(self, x: int):
         """Feed one input sample; returns an output sample or None."""
-        widths = self.plan.stage_widths
-        trunc = self.plan.truncation_bits
-        accs = self._accs
-        v = x
-        for i in range(self.config.order_n):
-            adder = self._adders[i] if self._adders else None
-            acc = self._add(accs[i], v, widths[i], adder)
-            accs[i] = acc
-            v = acc >> trunc[i] if trunc[i] else acc
-        out = None
-        if self._phase == 0:
-            w = self.output_width
-            for line in self._combs:
-                oldest = line.popleft()
-                line.append(v)
-                v = self._sub(v, oldest, w, self._comb_adder if self._adders else None)
-            out = v
-        self._phase = (self._phase + 1) % self.config.decim_r
-        return out
+        out = self.process(FixedSequence((x,), self.config.input_width))
+        return out[0] if len(out) else None
 
     def process(self, input: FixedSequence) -> FixedSequence:
         """Run a block of samples, continuing from the current state."""
@@ -165,55 +108,21 @@ class CicFilter:
             )
         if len(input) == 0:
             return FixedSequence((), self.output_width)
-        if self.adder_mode == "fast" and max(self.plan.stage_widths) <= _VECTOR_MAX_WIDTH:
-            return FixedSequence(self._process_vector(input.samples), self.output_width)
-        out = []
-        for x in input.samples:
-            y = self.push(x)
-            if y is not None:
-                out.append(y)
-        return FixedSequence(out, self.output_width)
-
-    def _process_vector(self, samples):
-        # Same arithmetic as push(), whole-block: a cumulative sum wraps
-        # modulo 2**64 which preserves every residue modulo the narrower
-        # stage widths, so wrapping once per element after the cumsum
-        # matches the per-step wrap.
-        widths = self.plan.stage_widths
-        trunc = self.plan.truncation_bits
-        v = np.asarray(samples, dtype=np.int64)
-        for i in range(self.config.order_n):
-            w = widths[i]
-            c = np.cumsum(v, dtype=np.int64)
-            if self._accs[i]:
-                c += np.int64(self._accs[i])
-            c = _wrap_vec(c, w)
-            self._accs[i] = int(c[-1])
-            v = (c >> trunc[i]) if trunc[i] else c
+        adder = self._adder
+        v = np.array(input.samples, dtype=self._dtype)
+        for i, (w, t) in enumerate(zip(self.plan.stage_widths, self.plan.truncation_bits)):
+            sums = adder.accumulate(self._accs[i], v, w)
+            self._accs[i] = int(sums[-1])
+            v = sums >> t if t else sums
         r = self.config.decim_r
-        first = (-self._phase) % r
-        self._phase = (self._phase + len(v)) % r
-        dec = v[first::r]
-        w = self.output_width
+        v = v[(-self._phase) % r :: r]
+        self._phase = (self._phase + len(input)) % r
         m = self.config.diff_delay_m
-        for line in self._combs:
-            hist = np.fromiter(line, dtype=np.int64, count=m)
-            seq = np.concatenate([hist, dec])
-            out = _wrap_vec(seq[m:] - seq[:-m], w)
-            tail = seq[len(seq) - m:]
-            line.clear()
-            line.extend(int(t) for t in tail)
-            dec = out
-        return dec.tolist()
-
-
-def _wrap_vec(values, width):
-    if width >= 63:
-        raise ValueError("vector wrap supports widths up to 62")
-    full = np.int64(1) << np.int64(width)
-    mask = full - 1
-    m = values & mask
-    return m - ((m >> np.int64(width - 1)) << np.int64(width))
+        for k, delayed in enumerate(self._combs):
+            seq = np.concatenate([delayed, v])
+            self._combs[k] = seq[-m:].copy()
+            v = adder.sub(seq[m:], seq[:-m], self.output_width)
+        return FixedSequence(v.tolist(), self.output_width)
 
 
 def cic_process(config: FilterConfig, plan: WordLengthPlan | None,

@@ -8,6 +8,7 @@ width declaration or internal invariant.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from datetime import datetime, timezone
 
@@ -53,53 +54,49 @@ def _add_config_args(sub, arch_choices=("cic", "nonrec")):
         sub.add_argument("--arch", choices=arch_choices, default=None)
 
 
-def _build_config(args, default_arch="cic") -> FilterConfig:
+def _build_config(args) -> FilterConfig:
+    flags = dict(order_n=args.n, diff_delay_m=args.m, decim_r=args.r,
+                 input_width=args.input_width, arch=getattr(args, "arch", None))
+    given = {field: value for field, value in flags.items() if value is not None}
     if getattr(args, "config", None):
         text = args.config
         if text.startswith("@"):
             with open(text[1:]) as fh:
                 text = fh.read()
-        cfg = config_from_text(text)
-        overrides = {}
-        if args.n is not None:
-            overrides["order_n"] = args.n
-        if args.m is not None:
-            overrides["diff_delay_m"] = args.m
-        if args.r is not None:
-            overrides["decim_r"] = args.r
-        if args.input_width is not None:
-            overrides["input_width"] = args.input_width
-        if getattr(args, "arch", None):
-            overrides["arch"] = args.arch
-        if overrides:
-            cfg = FilterConfig(
-                order_n=overrides.get("order_n", cfg.order_n),
-                diff_delay_m=overrides.get("diff_delay_m", cfg.diff_delay_m),
-                decim_r=overrides.get("decim_r", cfg.decim_r),
-                input_width=overrides.get("input_width", cfg.input_width),
-                arch=overrides.get("arch", cfg.arch),
-            )
-        return cfg
+        return dataclasses.replace(config_from_text(text), **given)
     if args.n is None or args.r is None or args.input_width is None:
         raise ConfigError("need --n, --r and --bin (or --config)")
-    return FilterConfig(
-        order_n=args.n,
-        diff_delay_m=args.m if args.m is not None else 1,
-        decim_r=args.r,
-        input_width=args.input_width,
-        arch=getattr(args, "arch", None) or default_arch,
-    )
+    return FilterConfig(**{"diff_delay_m": 1, **given})
 
 
-def _parse_widths(text):
+def _parse_ints(text, what):
     try:
         return tuple(int(tok) for tok in text.replace(",", " ").split())
     except ValueError:
-        raise ConfigError(f"bad width list {text!r}") from None
+        raise ConfigError(f"bad {what} list {text!r}") from None
 
 
-def _write_manifest(path, entries):
-    lines = [f"{k}={v}" for k, v in entries]
+def _plan(args, cfg):
+    """The cic word-length plan --widths asks for; None for nonrec."""
+    if cfg.arch == "nonrec":
+        if args.widths:
+            raise ConfigError("--widths only applies to the cic architecture")
+        return None
+    if args.widths:
+        return cic_truncation_plan(cfg, _parse_ints(args.widths, "width"))
+    return full_precision_plan(cfg)
+
+
+def _write_manifest(path, command, cfg, entries):
+    head = [
+        ("command", command),
+        ("version", __version__),
+        ("n", cfg.order_n),
+        ("m", cfg.diff_delay_m),
+        ("r", cfg.decim_r),
+        ("bin", cfg.input_width),
+    ]
+    lines = [f"{k}={v}" for k, v in head + entries]
     lines.append(f"timestamp={datetime.now(timezone.utc).isoformat()}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -107,19 +104,15 @@ def _write_manifest(path, entries):
 
 def cmd_design(args) -> int:
     cfg = _build_config(args)
+    plan = _plan(args, cfg)
     print(config_to_text(cfg))
     print(f"growth={max_register_growth(cfg)}")
-    if cfg.arch == "nonrec":
+    if plan is None:
         sched = nonrec_width_schedule(cfg)
         print(f"width_schedule={','.join(map(str, sched))}")
         print(f"output_width={sched[-1]}")
         return 0
-    w = total_width(cfg)
-    print(f"total_width={w}")
-    if args.widths:
-        plan = cic_truncation_plan(cfg, _parse_widths(args.widths))
-    else:
-        plan = full_precision_plan(cfg)
+    print(f"total_width={total_width(cfg)}")
     print(f"stage_widths={','.join(map(str, plan.stage_widths))}")
     print(f"truncation_bits={','.join(map(str, plan.truncation_bits))}")
     print(f"output_width={plan.stage_widths[-1]}")
@@ -136,24 +129,15 @@ def cmd_simulate(args) -> int:
             f"input declares width {seq.width}, config wants {cfg.input_width}"
         )
     adder_mode = "gate-model" if args.gate_model else "fast"
-    if cfg.arch == "nonrec":
-        if args.widths:
-            raise ConfigError("--widths only applies to the cic architecture")
+    plan = _plan(args, cfg)
+    if plan is None:
         base = NonRecFilter(cfg, adder_mode)
     else:
-        plan = cic_truncation_plan(cfg, _parse_widths(args.widths)) if args.widths \
-            else full_precision_plan(cfg)
         base = CicFilter(cfg, plan, adder_mode)
     flt = PipelinedFilter(base) if args.pipelined else base
     out = flt.process(seq)
     write_samples(args.outfile, out, args.out_format)
     entries = [
-        ("command", "simulate"),
-        ("version", __version__),
-        ("n", cfg.order_n),
-        ("m", cfg.diff_delay_m),
-        ("r", cfg.decim_r),
-        ("bin", cfg.input_width),
         ("arch", cfg.arch),
         ("widths", args.widths or "full"),
         ("adder_mode", adder_mode),
@@ -166,7 +150,7 @@ def cmd_simulate(args) -> int:
         ("samples_out", len(out)),
         ("output_width", out.width),
     ]
-    _write_manifest(args.outfile + ".manifest", entries)
+    _write_manifest(args.outfile + ".manifest", "simulate", cfg, entries)
     print(f"wrote {len(out)} samples at width {out.width} to {args.outfile}")
     return 0
 
@@ -200,18 +184,8 @@ def cmd_oracle(args) -> int:
     if args.outfile:
         write_samples(args.outfile, out, "text")
         _write_manifest(
-            args.outfile + ".manifest",
-            [
-                ("command", "oracle"),
-                ("version", __version__),
-                ("n", cfg.order_n),
-                ("m", cfg.diff_delay_m),
-                ("r", cfg.decim_r),
-                ("bin", cfg.input_width),
-                ("input", args.infile),
-                ("output", args.outfile),
-                ("samples_out", len(out)),
-            ],
+            args.outfile + ".manifest", "oracle", cfg,
+            [("input", args.infile), ("output", args.outfile), ("samples_out", len(out))],
         )
     else:
         for s in out.samples:
@@ -231,18 +205,8 @@ def cmd_response(args) -> int:
         with open(args.outfile, "w") as fh:
             fh.write(text)
         _write_manifest(
-            args.outfile + ".manifest",
-            [
-                ("command", "response"),
-                ("version", __version__),
-                ("n", cfg.order_n),
-                ("m", cfg.diff_delay_m),
-                ("r", cfg.decim_r),
-                ("bin", cfg.input_width),
-                ("fs", _fmt(args.fs)),
-                ("points", args.points),
-                ("output", args.outfile),
-            ],
+            args.outfile + ".manifest", "response", cfg,
+            [("fs", _fmt(args.fs)), ("points", args.points), ("output", args.outfile)],
         )
     else:
         sys.stdout.write(text)
@@ -273,9 +237,8 @@ def cmd_snr(args) -> int:
 
 
 def cmd_clocks(args) -> int:
-    r_values = [int(t) for t in args.r_list.replace(",", " ").split()]
     rows = clock_table(
-        r_values,
+        _parse_ints(args.r_list, "R"),
         args.n,
         args.input_width,
         diff_delay_m=args.m if args.m is not None else 1,
@@ -290,9 +253,13 @@ def cmd_clocks(args) -> int:
 
 def cmd_adder(args) -> int:
     if args.depth:
+        rows = [
+            (w, critical_path_gates(w, "mcla"), critical_path_gates(w, "ripple"))
+            for w in _parse_ints(args.depth, "width")
+        ]
         print("width,mcla_gates,ripple_gates")
-        for w in _parse_widths(args.depth):
-            print(f"{w},{critical_path_gates(w, 'mcla')},{critical_path_gates(w, 'ripple')}")
+        for w, mcla, ripple in rows:
+            print(f"{w},{mcla},{ripple}")
         return 0
     width = args.width
     adder = Mcla(width)
@@ -416,7 +383,7 @@ def main(argv=None) -> int:
     except DataFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except InternalError as exc:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 
 def wrap(value: int, width: int) -> int:
     """Reduce an integer modulo 2**width and reinterpret as signed.
@@ -17,6 +19,23 @@ def wrap(value: int, width: int) -> int:
     if m & (1 << (width - 1)):
         m -= 1 << width
     return m
+
+
+def array_dtype(bits: int):
+    """Array type for operands of up to `bits` bits: int64 or Python ints.
+
+    At 62 bits or fewer, masks, sign bits and the difference of two
+    operands all fit in int64, and a cumulative sum that wraps modulo
+    2**64 keeps every residue modulo 2**bits.  Wider operands go in
+    object arrays, where the same expressions act on Python ints.
+    """
+    return np.int64 if bits <= 62 else object
+
+
+def wrap_array(values, width: int):
+    """wrap() applied element-wise to an array of array_dtype(width)."""
+    m = values & ((1 << width) - 1)
+    return m - ((m >> (width - 1)) << width)
 
 
 def fits(value: int, width: int) -> bool:

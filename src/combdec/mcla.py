@@ -6,21 +6,27 @@ longest gate path at 4 (generate/propagate + first group) plus 2 gates
 per extra group plus 3 through the final sum XOR, against 2 gates per
 bit plus 1 for a plain ripple chain.
 
-mcla_add evaluates the boolean equations bit by bit and is the normative
-model; mcla_add_many evaluates the same equations across numpy arrays
-for bulk verification.
+Mcla.add evaluates the boolean equations bit by bit and is the normative
+model; mcla_add_many evaluates the same equations across numpy arrays.
+
+The filters take their arithmetic from an adder strategy (see
+adder_strategy): native wraparound adds, or every add through the
+gate-level model.  Both produce identical bits.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .fixedpoint import wrap, wrap_array
+from .params import ConfigError
+
 GROUP_BITS = 4
 
 
 def _check_width(width: int):
     if width < GROUP_BITS or width % GROUP_BITS != 0:
-        raise ValueError(
+        raise ConfigError(
             f"width must be a positive multiple of {GROUP_BITS}, got {width}"
         )
 
@@ -28,7 +34,7 @@ def _check_width(width: int):
 def adder_width(bits: int) -> int:
     """Smallest valid adder width covering a datapath of `bits`."""
     if bits < 1:
-        raise ValueError(f"bits must be >= 1, got {bits}")
+        raise ConfigError(f"bits must be >= 1, got {bits}")
     return ((bits + GROUP_BITS - 1) // GROUP_BITS) * GROUP_BITS
 
 
@@ -83,29 +89,25 @@ class Mcla:
         return total, c0
 
 
-def mcla_add(a: int, b: int, carry_in: int = 0, width: int = 16):
-    return Mcla(width).add(a, b, carry_in)
-
-
 def mcla_add_many(a, b, carry_in, width: int):
     """Vectorized evaluation of the same group look-ahead equations.
 
     a, b, carry_in are integer arrays (broadcastable); returns
-    (sum, carry_out) as int64 arrays.  Bit-identical to Mcla.add.
+    (sum, carry_out), bit-identical to Mcla.add.  The arrays are int64
+    when every input is and width <= 62, else object arrays of Python
+    ints.
     """
     _check_width(width)
-    if width > 62:
-        raise ValueError("vector path supports widths up to 62")
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    cin = np.asarray(carry_in, dtype=np.int64)
+    a, b, cin = (np.asarray(v) for v in (a, b, carry_in))
+    wide = width > 62 or object in (a.dtype, b.dtype, cin.dtype)
+    a, b, cin = (v.astype(object if wide else np.int64, copy=False) for v in (a, b, cin))
     if np.any((a < 0) | (a >= (1 << width))) or np.any((b < 0) | (b >= (1 << width))):
         raise ValueError(f"operands out of range for {width} bits")
     if np.any((cin != 0) & (cin != 1)):
         raise ValueError("carry_in must be 0 or 1")
     g = a & b
     p = a ^ b
-    total = np.zeros(np.broadcast(a, b, cin).shape, dtype=np.int64)
+    total = np.zeros(np.broadcast(a, b, cin).shape, dtype=a.dtype)
     c0 = np.broadcast_to(cin, total.shape).copy()
     for grp in range(width // GROUP_BITS):
         base = grp * GROUP_BITS
@@ -140,9 +142,76 @@ def critical_path_gates(width: int, adder_kind: str = "mcla") -> int:
     """
     if adder_kind == "ripple":
         if width < 1:
-            raise ValueError(f"ripple width must be >= 1, got {width}")
+            raise ConfigError(f"ripple width must be >= 1, got {width}")
         return 2 * width + 1
     if adder_kind == "mcla":
         _check_width(width)
         return 4 + 2 * (width // GROUP_BITS - 1) + 3
-    raise ValueError(f"adder_kind must be 'ripple' or 'mcla', got {adder_kind!r}")
+    raise ConfigError(f"adder_kind must be 'ripple' or 'mcla', got {adder_kind!r}")
+
+
+class WrapAdder:
+    """Native integer adds, wrapped to the register width."""
+
+    def operand_bits(self, width: int) -> int:
+        return width
+
+    def accumulate(self, acc, x, width: int):
+        """The running sums acc + x[0], acc + x[0] + x[1], ..., wrapped.
+
+        Wrapping once after the cumulative sum matches wrapping after
+        every step, since addition modulo 2**width commutes with the wrap.
+        """
+        return wrap_array(np.cumsum(x) + acc, width)
+
+    def add(self, a, b, width: int):
+        return wrap_array(a + b, width)
+
+    def sub(self, a, b, width: int):
+        return wrap_array(a - b, width)
+
+
+class GateAdder:
+    """Every add through a Mcla of adder_width(register width) bits."""
+
+    def operand_bits(self, width: int) -> int:
+        return adder_width(width)
+
+    def accumulate(self, acc, x, width: int):
+        """WrapAdder.accumulate, one Mcla.add per step.
+
+        Each sum is fed back as the next operand, as in hardware, so a
+        fault in the adder propagates into every later sample.
+        """
+        adder = Mcla(adder_width(width))
+        mask = (1 << adder.width) - 1
+        out = []
+        for v in x.tolist():
+            s, _ = adder.add(acc & mask, v & mask)
+            acc = wrap(s, width)
+            out.append(acc)
+        return np.array(out, dtype=x.dtype)
+
+    def add(self, a, b, width: int):
+        return self._lanes(a, b, 0, width)
+
+    def sub(self, a, b, width: int):
+        return self._lanes(a, ~b, 1, width)
+
+    def _lanes(self, a, b, carry_in, width):
+        w = adder_width(width)
+        mask = (1 << w) - 1
+        s, _ = mcla_add_many(a & mask, b & mask, carry_in, w)
+        return wrap_array(s, width)
+
+
+_STRATEGIES = {"fast": WrapAdder(), "gate-model": GateAdder()}
+
+ADDER_MODES = tuple(_STRATEGIES)
+
+
+def adder_strategy(mode: str):
+    """The arithmetic behind adder_mode `mode`, one of ADDER_MODES."""
+    if mode not in _STRATEGIES:
+        raise ConfigError(f"adder_mode must be one of {ADDER_MODES}")
+    return _STRATEGIES[mode]

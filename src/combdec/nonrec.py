@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fixedpoint import FixedSequence, to_unsigned, wrap
-from .mcla import Mcla, adder_width
+from .fixedpoint import FixedSequence, array_dtype
+from .mcla import adder_strategy
 from .params import (
     ConfigError,
     FilterConfig,
@@ -25,114 +25,38 @@ from .params import (
     nonrec_width_schedule,
 )
 
-ADDER_MODES = ("fast", "gate-model")
-
-_VECTOR_MAX_WIDTH = 62
-
-
-def twotap_step(delay_reg, x: int, width: int) -> int:
-    """One (1 + z**-1) section: x plus the previous input, wrapped.
-
-    delay_reg is a single-slot mutable sequence holding that previous
-    input; it is updated to x.
-    """
-    prev = delay_reg[0]
-    delay_reg[0] = x
-    return wrap(x + prev, width)
-
-
-class NonRecStage:
-    """One halving stage: N chained two-tap sections, then drop odd samples."""
-
-    def __init__(self, order_n: int, input_width: int, adder_mode: str = "fast"):
-        if order_n < 1:
-            raise ConfigError(f"order_n must be >= 1, got {order_n}")
-        if adder_mode not in ADDER_MODES:
-            raise ConfigError(f"adder_mode must be one of {ADDER_MODES}")
-        self.order_n = order_n
-        self.input_width = input_width
-        self.output_width = input_width + order_n
-        # section j adds its delayed input: one more bit of range each time
-        self.section_widths = tuple(input_width + j + 1 for j in range(order_n))
-        self.adder_mode = adder_mode
-        self._adders = None
-        if adder_mode == "gate-model":
-            self._adders = [Mcla(adder_width(w)) for w in self.section_widths]
-        self.reset()
-
-    def reset(self):
-        self._delays = [[0] for _ in range(self.order_n)]
-        self._phase = 0
-
-    def process(self, input: FixedSequence) -> FixedSequence:
-        if input.width != self.input_width:
-            raise WidthMismatchError(
-                f"stage expects width {self.input_width}, got {input.width}"
-            )
-        if len(input) == 0:
-            return FixedSequence((), self.output_width)
-        if self.adder_mode == "fast" and self.output_width <= _VECTOR_MAX_WIDTH:
-            return FixedSequence(self._process_vector(input.samples), self.output_width)
-        out = []
-        for x in input.samples:
-            v = x
-            for j in range(self.order_n):
-                if self._adders is None:
-                    v = twotap_step(self._delays[j], v, self.section_widths[j])
-                else:
-                    adder = self._adders[j]
-                    prev = self._delays[j][0]
-                    self._delays[j][0] = v
-                    w4 = adder.width
-                    s, _ = adder.add(to_unsigned(v, w4), to_unsigned(prev, w4), 0)
-                    v = wrap(s, self.section_widths[j])
-            if self._phase == 0:
-                out.append(v)
-            self._phase ^= 1
-        return FixedSequence(out, self.output_width)
-
-    def _process_vector(self, samples):
-        v = np.asarray(samples, dtype=np.int64)
-        for j in range(self.order_n):
-            prev = np.empty_like(v)
-            prev[0] = self._delays[j][0]
-            prev[1:] = v[:-1]
-            self._delays[j][0] = int(v[-1])
-            full = np.int64(1) << np.int64(self.section_widths[j])
-            m = (v + prev) & (full - 1)
-            v = m - ((m >> np.int64(self.section_widths[j] - 1)) << np.int64(self.section_widths[j]))
-        start = self._phase  # phase 0 keeps index 0; phase 1 keeps index 1
-        self._phase = (self._phase + len(samples)) & 1
-        return v[start::2].tolist()
-
 
 class NonRecFilter:
-    """Streaming non-recursive decimator built from S halving stages."""
+    """Streaming non-recursive decimator built from S halving stages.
+
+    Stage k runs N two-tap sections, section j an adder of
+    width_schedule[k] + j + 1 bits, then keeps every second sample.
+    adder_mode selects the arithmetic as for CicFilter.
+    """
 
     def __init__(self, config: FilterConfig, adder_mode: str = "fast"):
         if config.arch != "nonrec":
             raise ConfigError(f"NonRecFilter needs arch='nonrec', got {config.arch!r}")
+        self._adder = adder_strategy(adder_mode)
         self.config = config
-        schedule = nonrec_width_schedule(config)
-        self.width_schedule = schedule
-        self.output_width = schedule[-1]
-        self.stages = [
-            NonRecStage(config.order_n, schedule[k], adder_mode)
-            for k in range(len(schedule) - 1)
-        ]
         self.adder_mode = adder_mode
+        self.width_schedule = nonrec_width_schedule(config)
+        self.output_width = self.width_schedule[-1]
+        self._dtype = array_dtype(self._adder.operand_bits(self.output_width))
+        self.reset()
 
     def reset(self):
-        for st in self.stages:
-            st.reset()
+        stages = len(self.width_schedule) - 1
+        self._delays = [[0] * self.config.order_n for _ in range(stages)]
+        self._phases = [0] * stages
 
     @property
     def storage_elements(self) -> int:
-        return sum(st.order_n for st in self.stages)
+        return self.config.order_n * (len(self.width_schedule) - 1)
 
     def pipeline_boundaries(self):
         """Stage outputs where a pipeline register may sit (after the adders)."""
-        return tuple(f"stage{k}" for k in range(len(self.stages)))
+        return tuple(f"stage{k}" for k in range(len(self.width_schedule) - 1))
 
     def process(self, input: FixedSequence) -> FixedSequence:
         if input.width != self.config.input_width:
@@ -140,15 +64,20 @@ class NonRecFilter:
                 f"input width {input.width} does not match config "
                 f"input_width {self.config.input_width}"
             )
-        seq = input
-        for st in self.stages:
-            seq = st.process(seq)
-        return seq
-
-
-def stage_process(stage: NonRecStage, input: FixedSequence) -> FixedSequence:
-    """Functional wrapper over NonRecStage.process."""
-    return stage.process(input)
+        v = np.array(input.samples, dtype=self._dtype)
+        for k, delays in enumerate(self._delays):
+            if not len(v):
+                break
+            for j in range(self.config.order_n):
+                prev = np.empty_like(v)
+                prev[0] = delays[j]
+                prev[1:] = v[:-1]
+                delays[j] = v[-1]
+                v = self._adder.add(v, prev, self.width_schedule[k] + j + 1)
+            start = self._phases[k]  # phase 0 keeps index 0; phase 1 keeps index 1
+            self._phases[k] = (start + len(v)) & 1
+            v = v[start::2]
+        return FixedSequence(v.tolist(), self.output_width)
 
 
 def nonrec_process(config: FilterConfig, input: FixedSequence,

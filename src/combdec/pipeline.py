@@ -81,10 +81,6 @@ class PipelinedFilter:
         return FixedSequence(emitted, self.output_width)
 
 
-def pipelined_process(pf: PipelinedFilter, input: FixedSequence) -> FixedSequence:
-    return pf.process(input)
-
-
 @dataclass(frozen=True)
 class TimingModel:
     """Unit-gate timing: clock = calibration / (gate_delay * depth)."""

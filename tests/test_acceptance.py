@@ -12,7 +12,6 @@ from itertools import product
 import numpy as np
 
 from combdec.analysis import (
-    max_gain,
     measure_snr,
     response_sweep,
     sigma_delta_source,
@@ -27,6 +26,7 @@ from combdec.params import (
     FilterConfig,
     cic_truncation_plan,
     max_register_growth,
+    max_register_growth as max_gain,
     total_width,
 )
 from combdec.pipeline import PipelinedFilter, clock_table

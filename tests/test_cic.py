@@ -11,16 +11,13 @@ from combdec import (
     WidthMismatchError,
     cic_process,
     cic_truncation_plan,
-    comb_step,
     fir_coefficients,
     fir_decimate,
     full_precision_plan,
-    integrator_step,
     total_width,
     truncation_error_bound,
     wrap,
 )
-from collections import deque
 
 
 def rand_seq(rng, n, width):
@@ -33,21 +30,29 @@ def oracle_wrapped(cfg, seq, width):
     return [wrap(v, width) for v in ref.samples]
 
 
+def push_all(flt, samples):
+    return [y for s in samples if (y := flt.push(s)) is not None]
+
+
 def test_integrator_step_wraps():
-    assert integrator_step(3, 2, 4) == 5
-    assert integrator_step(7, 1, 4) == -8
-    assert integrator_step(-8, -1, 4) == 7
+    # N=1 R=1 M=1 at 4 bits: the accumulator runs 3, 5, 7, then wraps to
+    # -8 and back up past 7, and the comb must still return each input
+    cfg = FilterConfig(1, 1, 1, 4)
+    xs = [3, 2, 2, 1, -1, -8, -8, 7, 7, 7, 1]
+    for mode in ("fast", "gate-model"):
+        assert push_all(CicFilter(cfg, adder_mode=mode), xs) == xs
+        assert list(cic_process(cfg, None, FixedSequence(xs, 4), mode).samples) == xs
 
 
 def test_comb_step_difference_and_delay():
-    line = deque([0, 0])
-    assert comb_step(line, 1, 8) == 1
-    assert comb_step(line, 2, 8) == 2
-    assert comb_step(line, 4, 8) == 3  # 4 - 1 with M=2
-    line = deque([0])
-    t = 57
-    assert comb_step(line, t, 8) == 57
-    assert comb_step(line, t, 8) == 0  # identical input M=1 cancels
+    for mode in ("fast", "gate-model"):
+        # N=1 R=1: the comb sees the running sums 1, 2, 4 and with M=2
+        # subtracts the sum two steps back
+        f = CicFilter(FilterConfig(1, 2, 1, 8), adder_mode=mode)
+        assert push_all(f, [1, 1, 2]) == [1, 2, 3]
+        # identical comb inputs with M=1 cancel
+        f = CicFilter(FilterConfig(1, 1, 1, 8), adder_mode=mode)
+        assert push_all(f, [57, 0]) == [57, 0]
 
 
 def test_impulse_response_is_decimated_taps():
@@ -151,14 +156,12 @@ def test_gate_model_bit_identical():
     st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=60, deadline=None)
-def test_scalar_push_matches_vector_process(n, m, r, b, seed):
+def test_push_by_push_matches_oracle(n, m, r, b, seed):
     cfg = FilterConfig(n, m, r, b)
     rng = random.Random(seed)
     seq = rand_seq(rng, 120, b)
-    vec = CicFilter(cfg).process(seq)
-    scalar_filter = CicFilter(cfg)
-    scalar = [y for s in seq.samples if (y := scalar_filter.push(s)) is not None]
-    assert list(vec.samples) == scalar
+    f = CicFilter(cfg)
+    assert push_all(f, seq.samples) == oracle_wrapped(cfg, seq, f.output_width)
 
 
 def test_chunked_processing_matches_one_shot():

@@ -453,3 +453,28 @@ def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# bad invocations ----------------------------------------------------------
+
+CFG = ["--n", "5", "--r", "16", "--bin", "5"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["adder", "--width", "6"], 2),
+    (["adder", "--depth", "6"], 2),
+    (["clocks", "--n", "5", "--bin", "5", "--r-list", "a"], 2),
+    (["design", "--n", "5", "--r", "8", "--bin", "5", "--arch", "nonrec",
+      "--widths", "20,18,16,14,12"], 2),
+    (["simulate", *CFG, "--in", "/", "--out", "{tmp}/out.txt"], 3),
+    (["simulate", *CFG, "--in", "{tmp}/in.txt", "--out", "/"], 3),
+    (["simulate", "--config", "@/", "--in", "{tmp}/in.txt", "--out", "{tmp}/out.txt"], 3),
+], ids=["adder-width", "adder-depth", "clocks-r-list", "design-nonrec-widths",
+        "simulate-in-dir", "simulate-out-dir", "config-dir"])
+def test_bad_invocation_exit_code_and_one_line_error(capsys, tmp_path, argv, code):
+    write_input(tmp_path / "in.txt", [1, 2, 3], 5)
+    got, out, err = run(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
+    assert got == code
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combdec import Mcla, critical_path_gates, mcla_add, mcla_add_many
+from combdec import Mcla, critical_path_gates, mcla_add_many
 
 
 def test_exhaustive_width_4():
@@ -31,7 +31,7 @@ def test_exhaustive_width_8_sampled_rows():
 @given(st.integers(0, 2**20 - 1), st.integers(0, 2**20 - 1), st.integers(0, 1))
 @settings(max_examples=300, deadline=None)
 def test_random_width_20(a, b, cin):
-    s, c = mcla_add(a, b, cin, width=20)
+    s, c = Mcla(20).add(a, b, cin)
     ref = a + b + cin
     assert s == ref & (2**20 - 1)
     assert c == ref >> 20

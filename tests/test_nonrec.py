@@ -8,15 +8,12 @@ from combdec import (
     FilterConfig,
     FixedSequence,
     NonRecFilter,
-    NonRecStage,
     WidthMismatchError,
     cic_process,
     fir_coefficients,
     fir_decimate,
     nonrec_process,
     nonrec_width_schedule,
-    stage_process,
-    twotap_step,
 )
 
 
@@ -25,34 +22,37 @@ def rand_seq(rng, n, width):
     return FixedSequence([rng.randrange(-half, half) for _ in range(n)], width)
 
 
+def one_stage(n, b, adder_mode="fast"):
+    return NonRecFilter(FilterConfig(n, 1, 2, b, arch="nonrec"), adder_mode)
+
+
 def test_twotap_step_adds_previous():
-    reg = [0]
-    assert twotap_step(reg, 3, 8) == 3
-    assert twotap_step(reg, 5, 8) == 8
-    assert twotap_step(reg, -1, 8) == 4
-    assert reg == [-1]
+    # two-tap outputs [3, 8, 4]: the second call adds the 5 kept from the first
+    for mode in ("fast", "gate-model"):
+        f = one_stage(1, 8, mode)
+        assert f.process(FixedSequence([3, 5], 8)).samples == (3,)
+        assert f.process(FixedSequence([-1], 8)).samples == (4,)
 
 
 def test_stage_first_order_example():
-    st_ = NonRecStage(1, 4)
-    out = stage_process(st_, FixedSequence([1, 2, 3, 4], 4))
-    # two-tap outputs [1, 3, 5, 7], keep even positions
-    assert out.samples == (1, 5)
-    assert out.width == 5
+    for mode in ("fast", "gate-model"):
+        out = one_stage(1, 4, mode).process(FixedSequence([1, 2, 3, 4], 4))
+        # two-tap outputs [1, 3, 5, 7], keep even positions
+        assert out.samples == (1, 5)
+        assert out.width == 5
 
 
 def test_stage_dc_gain_is_two_to_the_n():
     for n in (1, 2, 3, 5):
-        st_ = NonRecStage(n, 6)
-        const = FixedSequence([3] * 40, 6)
-        out = st_.process(const)
+        out = one_stage(n, 6).process(FixedSequence([3] * 40, 6))
         assert out.samples[-1] == 3 * (2 ** n)
 
 
 def test_stage_output_width_grows_by_n():
-    st_ = NonRecStage(4, 7)
-    assert st_.output_width == 11
-    assert st_.section_widths == (8, 9, 10, 11)
+    f = one_stage(4, 7)
+    assert f.width_schedule == (7, 11)
+    assert f.output_width == 11
+    assert f.storage_elements == 4
 
 
 def test_impulse_response_is_decimated_taps():
@@ -126,9 +126,10 @@ def test_schedule_matches_filter_widths():
     cfg = FilterConfig(4, 1, 16, 6, arch="nonrec")
     f = NonRecFilter(cfg)
     sched = nonrec_width_schedule(cfg)
+    assert f.width_schedule == sched == (6, 10, 14, 18, 22)
     assert f.output_width == sched[-1]
-    assert tuple(st_.input_width for st_ in f.stages) == sched[:-1]
-    assert tuple(st_.output_width for st_ in f.stages) == sched[1:]
+    assert f.pipeline_boundaries() == ("stage0", "stage1", "stage2", "stage3")
+    assert f.storage_elements == 4 * 4
 
 
 def test_reset_and_empty():

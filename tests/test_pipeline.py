@@ -15,7 +15,6 @@ from combdec import (
     clock_table,
     critical_depth,
     estimate_max_clock,
-    pipelined_process,
 )
 from combdec.pipeline import input_stage_width
 
@@ -36,7 +35,7 @@ def test_cic_full_map_latency_and_shift():
     base = CicFilter(cfg).process(seq)
     pf = PipelinedFilter(CicFilter(cfg))
     assert pf.latency_cycles == 4
-    out = pipelined_process(pf, seq)
+    out = pf.process(seq)
     assert out.samples == shifted(base.samples, 4)
     assert out.width == base.width
 
