@@ -132,7 +132,7 @@ def measure_snr(signal, fs_hz: float, tone_hz: float, band_hz: float) -> SnrRepo
     signal is a FixedSequence or any 1-D sample sequence, at least 1024
     samples.  Requires 0 < tone_hz < band_hz <= fs/2.
     """
-    samples = signal.samples if isinstance(signal, FixedSequence) else signal
+    samples = signal.array if isinstance(signal, FixedSequence) else signal
     x = np.asarray(samples, dtype=float)
     n = x.size
     if n < 1024:

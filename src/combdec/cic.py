@@ -106,10 +106,10 @@ class CicFilter:
                 f"input width {input.width} does not match config "
                 f"input_width {self.config.input_width}"
             )
-        if len(input) == 0:
-            return FixedSequence((), self.output_width)
+        v = input.array.astype(self._dtype, copy=False)
+        if len(v) == 0:
+            return FixedSequence._trusted(v, self.output_width)
         adder = self._adder
-        v = np.array(input.samples, dtype=self._dtype)
         for i, (w, t) in enumerate(zip(self.plan.stage_widths, self.plan.truncation_bits)):
             sums = adder.accumulate(self._accs[i], v, w)
             self._accs[i] = int(sums[-1])
@@ -122,7 +122,7 @@ class CicFilter:
             seq = np.concatenate([delayed, v])
             self._combs[k] = seq[-m:].copy()
             v = adder.sub(seq[m:], seq[:-m], self.output_width)
-        return FixedSequence(v.tolist(), self.output_width)
+        return FixedSequence._trusted(v, self.output_width)
 
 
 def cic_process(config: FilterConfig, plan: WordLengthPlan | None,

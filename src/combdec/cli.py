@@ -12,6 +12,8 @@ import dataclasses
 import sys
 from datetime import datetime, timezone
 
+import numpy as np
+
 from . import __version__
 from .analysis import (
     InternalError,
@@ -20,7 +22,7 @@ from .analysis import (
     sigma_delta_source,
 )
 from .cic import CicFilter, truncation_error_bound
-from .fixedpoint import FixedSequence, wrap
+from .fixedpoint import FixedSequence, array_dtype, wrap_array
 from .mcla import Mcla, critical_path_gates, mcla_add_many
 from .nonrec import NonRecFilter
 from .oracle import fir_coefficients, fir_decimate
@@ -176,9 +178,8 @@ def cmd_oracle(args) -> int:
             print(f"length mismatch: oracle {len(out)} vs {len(other)}")
             return 1
         w = other.width
-        mism = sum(
-            1 for a, b in zip(out.samples, other.samples) if wrap(a, w) != b
-        )
+        got = out.array.astype(object) if array_dtype(w) is object else out.array
+        mism = int(np.count_nonzero(wrap_array(got, w) != other.array))
         print(f"compared {len(out)} samples, {mism} mismatches")
         return 0 if mism == 0 else 1
     if args.outfile:
@@ -187,9 +188,8 @@ def cmd_oracle(args) -> int:
             args.outfile + ".manifest", "oracle", cfg,
             [("input", args.infile), ("output", args.outfile), ("samples_out", len(out))],
         )
-    else:
-        for s in out.samples:
-            print(s)
+    elif len(out):
+        print("\n".join(map(str, out.array.tolist())))
     return 0
 
 
@@ -220,7 +220,7 @@ def cmd_snr(args) -> int:
     band = args.band if args.band else fout / 2.0
     bits = sigma_delta_source(args.tone, args.amplitude, fs, args.samples)
     comb = CicFilter(cfg).process(bits)
-    dropped = FixedSequence(bits.samples[:: args.r], bits.width)
+    dropped = FixedSequence._trusted(bits.array[:: args.r], bits.width)
     rep_comb = measure_snr(comb, fout, args.tone, band)
     rep_drop = measure_snr(dropped, fout, args.tone, band)
     lines = [
@@ -251,7 +251,19 @@ def cmd_clocks(args) -> int:
     return 0
 
 
+def _random_operands(rng, width, cases):
+    """`cases` uniform width-bit operands in an array of array_dtype(width)."""
+    if array_dtype(width) is not object:
+        return rng.integers(0, 1 << width, size=cases, dtype=np.int64)
+    value = np.zeros(cases, dtype=object)
+    for shift in range(0, width, 32):
+        value |= rng.integers(0, 1 << 32, size=cases).astype(object) << shift
+    return value & ((1 << width) - 1)
+
+
 def cmd_adder(args) -> int:
+    if args.cases < 0:
+        raise ConfigError(f"--cases must be >= 0, got {args.cases}")
     if args.depth:
         rows = [
             (w, critical_path_gates(w, "mcla"), critical_path_gates(w, "ripple"))
@@ -276,12 +288,10 @@ def cmd_adder(args) -> int:
                     count += 1
         print(f"OK {count} cases (exhaustive, width {width})")
         return 0
-    import numpy as np
-
     rng = np.random.default_rng(args.seed)
     cases = args.cases
-    a = rng.integers(0, 1 << width, size=cases, dtype=np.int64)
-    b = rng.integers(0, 1 << width, size=cases, dtype=np.int64)
+    a = _random_operands(rng, width, cases)
+    b = _random_operands(rng, width, cases)
     cin = rng.integers(0, 2, size=cases, dtype=np.int64)
     s, c = mcla_add_many(a, b, cin, width)
     ref = a + b + cin

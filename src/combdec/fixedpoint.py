@@ -48,35 +48,94 @@ def to_unsigned(value: int, width: int) -> int:
     return value & ((1 << width) - 1)
 
 
-@dataclass(frozen=True)
+def _exact_ints(samples):
+    """Object array of the samples as Python ints; a fraction is an error."""
+    out = []
+    for i, s in enumerate(samples):
+        v = int(s)
+        if v != s:
+            raise ValueError(f"sample {i} = {s!r} is not an integer")
+        out.append(v)
+    return np.array(out, dtype=object)
+
+
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class FixedSequence:
     """A sequence of signed integers together with its register width.
 
-    Every sample must satisfy -2**(width-1) <= s < 2**(width-1).
+    Every sample must satisfy -2**(width-1) <= s < 2**(width-1).  The
+    constructor takes any sequence of integers, checks it once and keeps
+    it as `array`: a read-only array of array_dtype(width), int64 up to
+    62 bits and Python ints above.  Stages whose outputs are in range by
+    construction build theirs with `_trusted`, which checks nothing.
+    `samples` is the same values as a tuple of Python ints, rebuilt on
+    every access.
     """
 
-    samples: tuple
+    array: np.ndarray
     width: int
 
+    def __init__(self, samples, width: int):
+        object.__setattr__(self, "array", samples)
+        object.__setattr__(self, "width", width)
+        # the one check every validated sequence passes (bench/tracing.py times it)
+        self.__post_init__()
+
     def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(int(s) for s in self.samples))
         if self.width < 1:
             raise ValueError(f"width must be >= 1, got {self.width}")
+        given = self.array
+        a = np.asarray(given)
+        if a.dtype.kind != "i" or a.ndim != 1:
+            a = _exact_ints(a.tolist() if isinstance(given, np.ndarray) else given)
+        dtype = array_dtype(self.width)
+        if dtype is object:
+            a = a.astype(object)
         half = 1 << (self.width - 1)
-        for i, s in enumerate(self.samples):
-            if not -half <= s < half:
-                raise ValueError(
-                    f"sample {i} = {s} does not fit in {self.width} signed bits"
-                )
+        if a.size and (a.min() < -half or a.max() >= half):
+            i = int(np.flatnonzero((a < -half) | (a >= half))[0])
+            raise ValueError(
+                f"sample {i} = {a[i]} does not fit in {self.width} signed bits"
+            )
+        # never keep a view of the caller's buffer
+        a = a.astype(dtype, copy=isinstance(given, np.ndarray))
+        a.flags.writeable = False
+        object.__setattr__(self, "array", a)
+
+    @classmethod
+    def _trusted(cls, values, width: int) -> "FixedSequence":
+        """Wrap an array whose values fit in `width` bits, unchecked."""
+        seq = object.__new__(cls)
+        a = np.asarray(values, dtype=array_dtype(width))
+        a.flags.writeable = False
+        object.__setattr__(seq, "array", a)
+        object.__setattr__(seq, "width", width)
+        return seq
+
+    @property
+    def samples(self) -> tuple:
+        return tuple(self.array.tolist())
 
     def __len__(self):
-        return len(self.samples)
+        return len(self.array)
 
     def __iter__(self):
-        return iter(self.samples)
+        return iter(self.array.tolist())
 
     def __getitem__(self, i):
-        return self.samples[i]
+        item = self.array[i]
+        return tuple(item.tolist()) if isinstance(i, slice) else int(item)
+
+    def __eq__(self, other):
+        if not isinstance(other, FixedSequence):
+            return NotImplemented
+        return self.width == other.width and np.array_equal(self.array, other.array)
+
+    def __hash__(self):
+        return hash((self.samples, self.width))
+
+    def __repr__(self):
+        return f"FixedSequence(samples={self.samples!r}, width={self.width})"
 
     @classmethod
     def zeros(cls, n: int, width: int) -> "FixedSequence":

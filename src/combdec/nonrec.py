@@ -64,7 +64,7 @@ class NonRecFilter:
                 f"input width {input.width} does not match config "
                 f"input_width {self.config.input_width}"
             )
-        v = np.array(input.samples, dtype=self._dtype)
+        v = input.array.astype(self._dtype, copy=False)
         for k, delays in enumerate(self._delays):
             if not len(v):
                 break
@@ -77,7 +77,7 @@ class NonRecFilter:
             start = self._phases[k]  # phase 0 keeps index 0; phase 1 keeps index 1
             self._phases[k] = (start + len(v)) & 1
             v = v[start::2]
-        return FixedSequence(v.tolist(), self.output_width)
+        return FixedSequence._trusted(v, self.output_width)
 
 
 def nonrec_process(config: FilterConfig, input: FixedSequence,

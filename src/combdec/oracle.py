@@ -7,8 +7,9 @@ keeping every R-th sample of the full-rate convolution (phases 0, R, 2R,
 directly, in exact integer arithmetic, so the streaming implementations
 have something independent to be compared against.
 
-A numpy path is used when a worst-case bound proves the values fit in
-int64; otherwise plain Python integers carry arbitrary precision.
+The arithmetic runs on int64 arrays when a worst-case bound proves the
+values fit, otherwise on object arrays of Python integers, which carry
+arbitrary precision.
 """
 
 from __future__ import annotations
@@ -83,25 +84,14 @@ def fir_decimate(coeffs, decim_r: int, input: FixedSequence) -> FixedSequence:
         raise ValueError("need at least one coefficient")
     gain = sum(abs(c) for c in coeffs)
     out_width = input.width + (ceil_log2(gain) if gain >= 1 else 0)
-    x = list(input.samples)
+    x = input.array
     n_out = (len(x) + decim_r - 1) // decim_r
-    if n_out == 0:
-        return FixedSequence((), out_width)
-
-    peak = max((abs(s) for s in x), default=0)
-    if peak * max(gain, 1) < _INT64_SAFE:
-        xv = np.asarray(x, dtype=np.int64)
-        cv = np.asarray(coeffs, dtype=np.int64)
-        full = np.convolve(xv, cv)
-        dec = full[: len(x) : decim_r]
-        return FixedSequence(dec.tolist(), out_width)
-
-    out = []
+    peak = max(-int(x.min()), int(x.max())) if len(x) else 0
+    dtype = np.int64 if max(peak, 1) * gain < _INT64_SAFE else object
+    # one pass per tap over the kept outputs: padded[j*R + lc-1 - k] = x[j*R - k]
     lc = len(coeffs)
-    for j in range(n_out):
-        base = j * decim_r
-        acc = 0
-        for k in range(min(lc, base + 1)):
-            acc += coeffs[k] * x[base - k]
-        out.append(acc)
-    return FixedSequence(out, out_width)
+    padded = np.concatenate([np.zeros(lc - 1, dtype), x.astype(dtype, copy=False)])
+    acc = np.zeros(n_out, dtype)
+    for k, c in enumerate(coeffs):
+        acc += c * padded[lc - 1 - k :: decim_r][:n_out]
+    return FixedSequence._trusted(acc, out_width)

@@ -21,11 +21,12 @@ to a known value.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cic import CicFilter
-from .fixedpoint import FixedSequence
+from .fixedpoint import FixedSequence, array_dtype
 from .mcla import adder_width, critical_path_gates
 from .nonrec import NonRecFilter
 from .params import ConfigError, FilterConfig, total_width
@@ -56,11 +57,11 @@ class PipelinedFilter:
         self.boundaries = boundaries
         self.latency_cycles = sum(register_map)
         self.output_width = base.output_width
-        self._regs = deque([0] * self.latency_cycles)
+        self._regs = np.zeros(self.latency_cycles, array_dtype(self.output_width))
 
     def reset(self):
         self.base.reset()
-        self._regs = deque([0] * self.latency_cycles)
+        self._regs = np.zeros(self.latency_cycles, array_dtype(self.output_width))
 
     @property
     def integrator_registers(self) -> int:
@@ -73,12 +74,10 @@ class PipelinedFilter:
         out = self.base.process(input)
         if self.latency_cycles == 0:
             return out
-        regs = self._regs
-        emitted = []
-        for y in out.samples:
-            regs.append(y)
-            emitted.append(regs.popleft())
-        return FixedSequence(emitted, self.output_width)
+        # the registers shift the output stream right by latency_cycles
+        stream = np.concatenate([self._regs, out.array])
+        self._regs = stream[len(out):].copy()
+        return FixedSequence._trusted(stream[: len(out)], self.output_width)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import re
 
-from .fixedpoint import FixedSequence, to_unsigned, wrap
+import numpy as np
+
+from .fixedpoint import FixedSequence, array_dtype, to_unsigned, wrap, wrap_array
 
 
 class DataFormatError(ValueError):
@@ -25,16 +27,22 @@ def bytes_per_sample(width: int) -> int:
 
 def write_text(path, seq: FixedSequence):
     with open(path, "w") as fh:
-        for s in seq.samples:
-            fh.write(f"{s}\n")
+        if len(seq):
+            fh.write("\n".join(map(str, seq.array.tolist())) + "\n")
 
 
 def write_binary(path, seq: FixedSequence):
-    nb = bytes_per_sample(seq.width)
+    width = seq.width
+    nb = bytes_per_sample(width)
+    if array_dtype(width) is object:
+        payload = b"".join(to_unsigned(s, width).to_bytes(nb, "little")
+                           for s in seq.array.tolist())
+    else:
+        u = (seq.array & ((1 << width) - 1)).astype("<u8", copy=False)
+        payload = u.view(np.uint8).reshape(-1, 8)[:, :nb].tobytes()
     with open(path, "wb") as fh:
-        fh.write(f"width={seq.width} count={len(seq)}\n".encode("ascii"))
-        for s in seq.samples:
-            fh.write(to_unsigned(s, seq.width).to_bytes(nb, "little"))
+        fh.write(f"width={width} count={len(seq)}\n".encode("ascii"))
+        fh.write(payload)
 
 
 def write_samples(path, seq: FixedSequence, fmt: str = "text"):
@@ -46,28 +54,43 @@ def write_samples(path, seq: FixedSequence, fmt: str = "text"):
         raise DataFormatError(f"format must be 'text' or 'binary', got {fmt!r}")
 
 
+def _parse_lines(path, lines):
+    """Python ints from decimal lines, skipping blank ones; names a bad line."""
+    values = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            values.append(int(line))
+        except ValueError:
+            raise DataFormatError(
+                f"{path}: line {lineno}: {line[:40]!r} is not an integer"
+            ) from None
+    return values
+
+
 def read_text(path, width: int) -> FixedSequence:
     """Parse newline-delimited decimals and validate them against width."""
-    samples = []
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                samples.append(int(line))
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: line {lineno}: {line[:40]!r} is not an integer"
-                ) from None
+        body = fh.read().rstrip()
+    lines = body.split(b"\n") if body else []
     try:
-        return FixedSequence(samples, width)
+        values = np.array(lines, dtype=np.int64)
+    except (ValueError, OverflowError):
+        # blank lines, values over int64, or a bad line to report
+        values = _parse_lines(path, lines)
+    try:
+        return FixedSequence(values, width)
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
 
 
 def read_binary(path) -> FixedSequence:
-    """Parse a header-framed binary sample file; width comes from the header."""
+    """Parse a header-framed binary sample file; width comes from the header.
+
+    Bits above the width in each sample's top byte are ignored.
+    """
     with open(path, "rb") as fh:
         header = fh.readline().rstrip(b"\n")
         m = _HEADER_RE.match(header)
@@ -84,10 +107,15 @@ def read_binary(path) -> FixedSequence:
             f"{path}: expected {nb * count} payload bytes for count={count}, "
             f"got {len(payload)}"
         )
-    samples = [
-        wrap(int.from_bytes(payload[i * nb : (i + 1) * nb], "little"), width)
-        for i in range(count)
-    ]
+    if array_dtype(width) is object:
+        samples = [
+            wrap(int.from_bytes(payload[i * nb : (i + 1) * nb], "little"), width)
+            for i in range(count)
+        ]
+    else:
+        words = np.zeros((count, 8), dtype=np.uint8)
+        words[:, :nb] = np.frombuffer(payload, dtype=np.uint8).reshape(count, nb)
+        samples = wrap_array(words.view("<i8").reshape(count), width)
     return FixedSequence(samples, width)
 
 

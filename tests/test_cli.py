@@ -434,6 +434,12 @@ def test_adder_random_wide(capsys):
     assert out.strip() == "OK 5000 cases (random, width 12)"
 
 
+def test_adder_random_above_62_bits(capsys):
+    code, out, _ = run(capsys, "adder", "--width", "64", "--cases", "200")
+    assert code == 0
+    assert out.strip() == "OK 200 cases (random, width 64)"
+
+
 def test_adder_depth_table(capsys):
     code, out, _ = run(capsys, "adder", "--depth", "8,16")
     assert code == 0
@@ -463,14 +469,15 @@ CFG = ["--n", "5", "--r", "16", "--bin", "5"]
 @pytest.mark.parametrize("argv, code", [
     (["adder", "--width", "6"], 2),
     (["adder", "--depth", "6"], 2),
+    (["adder", "--cases", "-1"], 2),
     (["clocks", "--n", "5", "--bin", "5", "--r-list", "a"], 2),
     (["design", "--n", "5", "--r", "8", "--bin", "5", "--arch", "nonrec",
       "--widths", "20,18,16,14,12"], 2),
     (["simulate", *CFG, "--in", "/", "--out", "{tmp}/out.txt"], 3),
     (["simulate", *CFG, "--in", "{tmp}/in.txt", "--out", "/"], 3),
     (["simulate", "--config", "@/", "--in", "{tmp}/in.txt", "--out", "{tmp}/out.txt"], 3),
-], ids=["adder-width", "adder-depth", "clocks-r-list", "design-nonrec-widths",
-        "simulate-in-dir", "simulate-out-dir", "config-dir"])
+], ids=["adder-width", "adder-depth", "adder-cases", "clocks-r-list",
+        "design-nonrec-widths", "simulate-in-dir", "simulate-out-dir", "config-dir"])
 def test_bad_invocation_exit_code_and_one_line_error(capsys, tmp_path, argv, code):
     write_input(tmp_path / "in.txt", [1, 2, 3], 5)
     got, out, err = run(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
@@ -478,3 +485,35 @@ def test_bad_invocation_exit_code_and_one_line_error(capsys, tmp_path, argv, cod
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+# validation --------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, reads", [
+    (["simulate", *CFG, "--out", "{tmp}/out.txt"], 1),
+    (["simulate", *CFG, "--widths", "25,22,20,18,16", "--out", "{tmp}/out.txt"], 1),
+    (["simulate", *CFG, "--arch", "nonrec", "--out", "{tmp}/out.txt"], 1),
+    (["simulate", *CFG, "--pipelined", "--out", "{tmp}/out.bin", "--out-format",
+      "binary"], 1),
+    (["oracle", *CFG, "--compare", "{tmp}/ref.txt"], 2),
+], ids=["cic", "cic-truncated", "nonrec", "pipelined", "oracle-compare"])
+def test_samples_are_validated_once_per_file_read(capsys, tmp_path, monkeypatch, argv, reads):
+    rng = np.random.default_rng(5)
+    write_input(tmp_path / "in.txt", [int(v) for v in rng.integers(-16, 16, 320)], 5)
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    if argv[0] == "oracle":
+        run(capsys, "simulate", *CFG, "--in", str(tmp_path / "in.txt"),
+            "--out", str(tmp_path / "ref.txt"))
+    calls = []
+    check = FixedSequence.__post_init__
+
+    def counted(seq):
+        calls.append(len(seq.array))
+        check(seq)
+
+    monkeypatch.setattr(FixedSequence, "__post_init__", counted)
+    code, _, _ = run(capsys, *argv, "--in", str(tmp_path / "in.txt"))
+    assert code == 0
+    # the file reads are checked; filter, pipeline and oracle outputs are not
+    assert len(calls) == reads
+    assert calls[0] == 320

@@ -1,5 +1,6 @@
 """Round trips and failure modes for the text and binary sample formats."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -75,6 +76,34 @@ def test_binary_header_and_layout(tmp_path):
     assert payload == bytes([0xFF, 0x01, 0x02, 0x00])
 
 
+def test_binary_ignores_junk_bits_above_the_width(tmp_path):
+    p = tmp_path / "s.bin"
+    # width 5: 0xE3 holds 0b00011 (3) and 0xF0 holds 0b10000 (-16) under junk
+    p.write_bytes(b"width=5 count=2\n\xe3\xf0")
+    assert read_binary(p).samples == (3, -16)
+    # width 12: the top byte's high nibble is junk; 0x7FF is 2047, 0x800 is -2048
+    p.write_bytes(b"width=12 count=2\n\xff\xa7\x00\x58")
+    assert read_binary(p).samples == (2047, -2048)
+
+
+def test_text_bulk_and_per_line_paths_agree(tmp_path):
+    p = tmp_path / "s.txt"
+    p.write_text("+5\n 1_0 \n-7\r\n")
+    assert read_text(p, 6).samples == (5, 10, -7)
+    p.write_text("+5\n\n1_0\n-7\n")  # a blank line takes the per-line path
+    assert read_text(p, 6).samples == (5, 10, -7)
+    p.write_text(f"{1 << 70}\n{-(1 << 70)}\n")  # over int64
+    assert read_text(p, 72).samples == (1 << 70, -(1 << 70))
+
+
+@pytest.mark.parametrize("text", ["1\n2 3\n", "1\n1.5\n"], ids=["two-values", "fraction"])
+def test_text_rejects_a_line_that_is_not_one_integer(tmp_path, text):
+    p = tmp_path / "s.txt"
+    p.write_text(text)
+    with pytest.raises(DataFormatError, match="line 2"):
+        read_text(p, 8)
+
+
 def test_binary_bad_header(tmp_path):
     p = tmp_path / "s.bin"
     p.write_bytes(b"hello\n\x00\x01")
@@ -134,7 +163,7 @@ def test_bad_format_names(tmp_path):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    width=st.integers(min_value=1, max_value=40),
+    width=st.integers(min_value=1, max_value=72),
     data=st.data(),
     fmt=st.sampled_from(["text", "binary"]),
 )
@@ -148,3 +177,17 @@ def test_round_trip_any_width(tmp_path_factory, width, data, fmt):
     write_samples(p, seq, fmt)
     back = read_samples(p, width, fmt)
     assert back == seq
+    assert back.array.dtype == (np.int64 if width <= 62 else object)
+
+
+@pytest.mark.parametrize("fmt", ["text", "binary"])
+@pytest.mark.parametrize("width", [61, 62, 63, 64, 65])
+def test_round_trip_across_the_dtype_switch(tmp_path, width, fmt):
+    half = 1 << (width - 1)
+    vals = [-half, -half + 1, -1, 0, 1, half - 2, half - 1]
+    p = tmp_path / f"s_{fmt}"
+    write_samples(p, FixedSequence(vals, width), fmt)
+    back = read_samples(p, width, fmt)
+    assert back.samples == tuple(vals)
+    assert back.width == width
+
