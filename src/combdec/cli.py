@@ -262,9 +262,11 @@ def _random_operands(rng, width, cases):
 
 
 def cmd_adder(args) -> int:
-    if args.cases < 0:
-        raise ConfigError(f"--cases must be >= 0, got {args.cases}")
     if args.depth:
+        ignored = [f"--{k}" for k in ("width", "cases", "seed")
+                   if getattr(args, k) is not None]
+        if ignored:
+            raise ConfigError(f"{', '.join(ignored)} cannot be combined with --depth")
         rows = [
             (w, critical_path_gates(w, "mcla"), critical_path_gates(w, "ripple"))
             for w in _parse_ints(args.depth, "width")
@@ -273,23 +275,31 @@ def cmd_adder(args) -> int:
         for w, mcla, ripple in rows:
             print(f"{w},{mcla},{ripple}")
         return 0
-    width = args.width
+    width = 8 if args.width is None else args.width
+    cases = 1_000_000 if args.cases is None else args.cases
+    if cases < 0:
+        raise ConfigError(f"--cases must be >= 0, got {cases}")
     adder = Mcla(width)
     if width <= 8:
-        count = 0
-        for cin in (0, 1):
-            for a in range(1 << width):
-                for b in range(1 << width):
-                    s, c = adder.add(a, b, cin)
-                    ref = a + b + cin
-                    if s != ref % (1 << width) or c != ref >> width:
-                        print(f"MISMATCH a={a} b={b} cin={cin}")
-                        return 1
-                    count += 1
-        print(f"OK {count} cases (exhaustive, width {width})")
+        cin, a, b = (v.ravel() for v in np.indices((2, 1 << width, 1 << width)))
+        sums, carries = [], []
+        for ai, bi, ci in zip(a.tolist(), b.tolist(), cin.tolist()):
+            s, c = adder.add(ai, bi, ci)
+            ref = ai + bi + ci
+            if s != ref % (1 << width) or c != ref >> width:
+                print(f"MISMATCH a={ai} b={bi} cin={ci}")
+                return 1
+            sums.append(s)
+            carries.append(c)
+        # the integrators rely on the vector evaluator agreeing with Mcla.add
+        s, c = mcla_add_many(a, b, cin, width)
+        bad = np.flatnonzero((s != sums) | (c != carries))
+        if len(bad):
+            print(f"scalar/vector disagreement at case {bad[0]}")
+            return 1
+        print(f"OK {len(sums)} cases (exhaustive, width {width})")
         return 0
-    rng = np.random.default_rng(args.seed)
-    cases = args.cases
+    rng = np.random.default_rng(2024 if args.seed is None else args.seed)
     a = _random_operands(rng, width, cases)
     b = _random_operands(rng, width, cases)
     cin = rng.integers(0, 2, size=cases, dtype=np.int64)
@@ -371,9 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_clocks)
 
     a = subs.add_parser("adder", help="verify the gate-level adder model")
-    a.add_argument("--width", type=int, default=8)
-    a.add_argument("--cases", type=int, default=1_000_000)
-    a.add_argument("--seed", type=int, default=2024)
+    a.add_argument("--width", type=int, help="adder width (default 8)")
+    a.add_argument("--cases", type=int, help="random cases above 8 bits (default 1000000)")
+    a.add_argument("--seed", type=int, help="operand seed above 8 bits (default 2024)")
     a.add_argument("--depth", help="comma separated widths: print a depth table")
     a.set_defaults(func=cmd_adder)
     return p

@@ -11,7 +11,15 @@ model; mcla_add_many evaluates the same equations across numpy arrays.
 
 The filters take their arithmetic from an adder strategy (see
 adder_strategy): native wraparound adds, or every add through the
-gate-level model.  Both produce identical bits.
+gate-level model.  Both produce identical bits.  In the gate-level
+strategy, combs and two-tap sections add independent lanes, one
+mcla_add_many call per block.  An integrator is a chain, each sum the
+next step's operand, so GateAdder.accumulate first guesses the chain with
+native running sums, then adds every step's operands (the previous guess
+and the input) in one mcla_add_many call.  If every lane reproduces its
+guess, the chain equals the guess by induction on the step.  From the
+first lane that does not, the chain runs one Mcla.add per step, so a
+faulty adder still gives the sequential chain's bits.
 """
 
 from __future__ import annotations
@@ -172,17 +180,43 @@ class WrapAdder:
 
 
 class GateAdder:
-    """Every add through a Mcla of adder_width(register width) bits."""
+    """Every add through a Mcla of adder_width(register width) bits.
+
+    Combs and two-tap sections add whole blocks of independent lanes
+    through mcla_add_many.  An integrator feeds each sum back as its next
+    operand, as in hardware; accumulate evaluates that chain in one batch
+    and checks it, so a fault in the adder still propagates into every
+    later sample.
+    """
 
     def operand_bits(self, width: int) -> int:
         return adder_width(width)
 
     def accumulate(self, acc, x, width: int):
-        """WrapAdder.accumulate, one Mcla.add per step.
+        """The chain s[t] = adder(s[t-1], x[t]), s[-1] = acc, wrapped.
 
-        Each sum is fed back as the next operand, as in hardware, so a
-        fault in the adder propagates into every later sample.
+        The native running sums y are a guess at the chain.  One
+        mcla_add_many call adds every step's operands at once, lanes
+        (prev[t], x[t]) with prev = [acc, y[0], ..., y[n-2]].  If every
+        lane's wrapped sum equals y[t], then by induction on t the chain
+        equals y and y is returned.  Otherwise, from the first lane t that
+        disagrees, the chain runs one Mcla.add per step, seeded with
+        prev[t].  For any deterministic adder, a faulty one included, the
+        output is the sequential chain's bit for bit.
         """
+        y = WrapAdder().accumulate(acc, x, width)
+        prev = np.empty_like(y)
+        prev[:1] = acc
+        prev[1:] = y[:-1]
+        bad = np.flatnonzero(self.add(prev, x, width) != y)
+        if not len(bad):
+            return y
+        t = int(bad[0])
+        return np.concatenate([y[:t], self._chain(int(prev[t]), x[t:], width)])
+
+    @staticmethod
+    def _chain(acc, x, width):
+        """The chain from acc over x, one Mcla.add per step."""
         adder = Mcla(adder_width(width))
         mask = (1 << adder.width) - 1
         out = []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from combdec.cic import truncation_error_bound
+from combdec import cli
 from combdec.cli import main
 from combdec.fixedpoint import FixedSequence
 from combdec.params import FilterConfig, cic_truncation_plan
@@ -428,6 +429,20 @@ def test_adder_exhaustive_small(capsys):
     assert out.strip() == "OK 512 cases (exhaustive, width 4)"
 
 
+def test_adder_exhaustive_vector_disagreement_exits_1(capsys, monkeypatch):
+    # the clean run, vector model included, is test_adder_exhaustive_small
+    vector = cli.mcla_add_many
+
+    def faulty(a, b, carry_in, width):
+        s, c = vector(a, b, carry_in, width)
+        return s ^ ((a == 5) & (b == 9) & (carry_in == 1)), c
+
+    monkeypatch.setattr(cli, "mcla_add_many", faulty)
+    code, out, _ = run(capsys, "adder", "--width", "4")
+    assert code == 1
+    assert out.strip() == f"scalar/vector disagreement at case {16 * 16 + 5 * 16 + 9}"
+
+
 def test_adder_random_wide(capsys):
     code, out, _ = run(capsys, "adder", "--width", "12", "--cases", "5000")
     assert code == 0
@@ -470,13 +485,17 @@ CFG = ["--n", "5", "--r", "16", "--bin", "5"]
     (["adder", "--width", "6"], 2),
     (["adder", "--depth", "6"], 2),
     (["adder", "--cases", "-1"], 2),
+    (["adder", "--depth", "8,16", "--width", "12"], 2),
+    (["adder", "--depth", "8,16", "--cases", "100"], 2),
+    (["adder", "--depth", "8,16", "--seed", "1"], 2),
     (["clocks", "--n", "5", "--bin", "5", "--r-list", "a"], 2),
     (["design", "--n", "5", "--r", "8", "--bin", "5", "--arch", "nonrec",
       "--widths", "20,18,16,14,12"], 2),
     (["simulate", *CFG, "--in", "/", "--out", "{tmp}/out.txt"], 3),
     (["simulate", *CFG, "--in", "{tmp}/in.txt", "--out", "/"], 3),
     (["simulate", "--config", "@/", "--in", "{tmp}/in.txt", "--out", "{tmp}/out.txt"], 3),
-], ids=["adder-width", "adder-depth", "adder-cases", "clocks-r-list",
+], ids=["adder-width", "adder-depth", "adder-cases", "adder-depth-width",
+        "adder-depth-cases", "adder-depth-seed", "clocks-r-list",
         "design-nonrec-widths", "simulate-in-dir", "simulate-out-dir", "config-dir"])
 def test_bad_invocation_exit_code_and_one_line_error(capsys, tmp_path, argv, code):
     write_input(tmp_path / "in.txt", [1, 2, 3], 5)

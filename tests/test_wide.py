@@ -4,6 +4,7 @@ sides of the 62-bit int64 limit and the 64-bit adder width.
 Each case cuts a seeded input into random chunks, feeds them to a
 long-lived filter (single samples through CicFilter.push when drawn), and
 compares the concatenated output with fir_decimate on the whole input.
+A state machine also interleaves reset with push and process.
 """
 
 import random
@@ -11,6 +12,13 @@ from functools import lru_cache
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from combdec import (
     CicFilter,
@@ -127,3 +135,66 @@ def test_truncated_stream_within_bound(data, dims):
     assert got == list(cic_process(cfg, plan, FixedSequence(xs, cfg.input_width)).samples)
     shift, bound = plan.total_truncation, error_bound(cfg, plan)
     assert all(abs(t - (f >> shift)) <= bound for t, f in zip(got, oracle(dims, xs)))
+
+
+# n=5 m=1 bin=5: cic r=16 (25 bits, a 28-bit gate adder), nonrec r=8
+STREAM_CIC, STREAM_NONREC = FilterConfig(5, 1, 16, 5), FilterConfig(5, 1, 8, 5, arch="nonrec")
+STREAM_FILTERS = {
+    "cic-fast": lambda: CicFilter(STREAM_CIC),
+    "cic-gate": lambda: CicFilter(STREAM_CIC, None, "gate-model"),
+    "cic-gate-truncated": lambda: CicFilter(
+        STREAM_CIC, cic_truncation_plan(STREAM_CIC, (25, 22, 20, 18, 16)), "gate-model"),
+    "nonrec-gate": lambda: NonRecFilter(STREAM_NONREC, "gate-model"),
+    "pipelined-cic": lambda: PipelinedFilter(CicFilter(STREAM_CIC)),
+}
+
+
+class StreamMachine(RuleBasedStateMachine):
+    """push, process and reset in any order; the output since the last
+    reset always matches fir_decimate of the input since that reset."""
+
+    @initialize(kind=st.sampled_from(sorted(STREAM_FILTERS)))
+    def build(self, kind):
+        self.flt = STREAM_FILTERS[kind]()
+        self.xs, self.ys = [], []
+
+    @rule(x=st.integers(-16, 15))
+    def push(self, x):
+        self.xs.append(x)
+        if isinstance(self.flt, CicFilter):
+            y = self.flt.push(x)
+            self.ys += [] if y is None else [y]
+        else:
+            self.ys += self.flt.process(FixedSequence([x], 5)).samples
+
+    @rule(size=st.integers(0, 200), seed=st.integers(0, 2**32 - 1))
+    def process(self, size, seed):
+        chunk = full_scale_input(seed, size, 5)
+        self.xs += chunk
+        self.ys += self.flt.process(FixedSequence(chunk, 5)).samples
+
+    @precondition(lambda self: self.xs)  # a fresh filter is already reset
+    @rule()
+    def reset(self):
+        self.flt.reset()
+        self.xs, self.ys = [], []
+
+    @invariant()
+    def output_matches_oracle(self):
+        flt = getattr(self.flt, "base", self.flt)
+        cfg = flt.config
+        want = list(fir_decimate(fir_coefficients(cfg), cfg.decim_r,
+                                 FixedSequence(self.xs, 5)).samples)
+        if isinstance(self.flt, PipelinedFilter):
+            want = ([0] * self.flt.latency_cycles + want)[:len(want)]
+        if isinstance(flt, CicFilter) and flt.plan.total_truncation:
+            shift, bound = flt.plan.total_truncation, error_bound(cfg, flt.plan)
+            assert len(self.ys) == len(want)
+            assert all(abs(t - (f >> shift)) <= bound for t, f in zip(self.ys, want))
+        else:
+            assert self.ys == want
+
+
+StreamMachine.TestCase.settings = settings(max_examples=40, stateful_step_count=25,
+                                           deadline=None)
+test_stream_machine = StreamMachine.TestCase
