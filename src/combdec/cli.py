@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from datetime import datetime, timezone
 
@@ -157,16 +158,28 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _reject_given(args, flags, reason):
+    """ConfigError naming each given flag of `flags` ({flag: dest})."""
+    given = [flag for flag, dest in flags.items() if getattr(args, dest) is not None]
+    if given:
+        raise ConfigError(f"{', '.join(given)} cannot be combined with {reason}")
+
+
 def cmd_oracle(args) -> int:
     cfg = _build_config(args)
     taps = fir_coefficients(cfg)
     if args.coeffs:
+        _reject_given(args, {"--in": "infile", "--out": "outfile", "--compare": "compare",
+                             "--format": "format"}, "--coeffs")
         for t in taps:
             print(t)
         return 0
+    if args.compare is not None:
+        _reject_given(args, {"--out": "outfile"}, "--compare")
     if not args.infile:
         raise ConfigError("oracle needs --in (or --coeffs)")
-    seq = read_samples(args.infile, cfg.input_width, args.format)
+    fmt = "auto" if args.format is None else args.format
+    seq = read_samples(args.infile, cfg.input_width, fmt)
     if seq.width != cfg.input_width:
         raise WidthMismatchError(
             f"input declares width {seq.width}, config wants {cfg.input_width}"
@@ -263,10 +276,8 @@ def _random_operands(rng, width, cases):
 
 def cmd_adder(args) -> int:
     if args.depth:
-        ignored = [f"--{k}" for k in ("width", "cases", "seed")
-                   if getattr(args, k) is not None]
-        if ignored:
-            raise ConfigError(f"{', '.join(ignored)} cannot be combined with --depth")
+        _reject_given(args, {"--width": "width", "--cases": "cases", "--seed": "seed"},
+                      "--depth")
         rows = [
             (w, critical_path_gates(w, "mcla"), critical_path_gates(w, "ripple"))
             for w in _parse_ints(args.depth, "width")
@@ -281,6 +292,8 @@ def cmd_adder(args) -> int:
         raise ConfigError(f"--cases must be >= 0, got {cases}")
     adder = Mcla(width)
     if width <= 8:
+        _reject_given(args, {"--cases": "cases", "--seed": "seed"},
+                      f"width {width} (8 bits or fewer are checked exhaustively)")
         cin, a, b = (v.ravel() for v in np.indices((2, 1 << width, 1 << width)))
         sums, carries = [], []
         for ai, bi, ci in zip(a.tolist(), b.tolist(), cin.tolist()):
@@ -319,7 +332,11 @@ def cmd_adder(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built on the first call and shared by every `main`
+    call after it.  Commands resolve defaults they need to tell from a given
+    flag themselves and never change the parser."""
     p = argparse.ArgumentParser(
         prog="combdec",
         description="comb decimation filters: design, bit-exact simulation, analysis",
@@ -349,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--coeffs", action="store_true", help="print the taps and stop")
     o.add_argument("--in", dest="infile")
     o.add_argument("--out", dest="outfile")
-    o.add_argument("--format", choices=("auto", "text", "binary"), default="auto")
+    o.add_argument("--format", choices=("auto", "text", "binary"),
+                   help="input format (default auto)")
     o.add_argument("--compare", help="filter output file to check against")
     o.set_defaults(func=cmd_oracle)
 

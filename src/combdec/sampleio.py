@@ -70,38 +70,84 @@ def _parse_lines(path, lines):
     return values
 
 
-def read_text(path, width: int) -> FixedSequence:
-    """Parse newline-delimited decimals and validate them against width."""
-    with open(path, "rb") as fh:
-        body = fh.read().rstrip()
-    lines = body.split(b"\n") if body else []
-    try:
-        values = np.array(lines, dtype=np.int64)
-    except (ValueError, OverflowError):
-        # blank lines, values over int64, or a bad line to report
-        values = _parse_lines(path, lines)
+_POW10 = 10 ** np.arange(19, dtype=np.uint64)
+_INT64_MAX = np.uint64((1 << 63) - 1)
+
+
+def _parse_plain_lines(body: bytes):
+    """int64 values of `body` when every line is `-?[0-9]{1,19}` and fits
+    int64, else None.
+
+    One vectorised pass over the bytes: a magnitude of 19 digits never
+    overflows uint64, and the temporaries are a few arrays per byte or per
+    line.
+    """
+    b = np.frombuffer(body, np.uint8)
+    breaks = np.flatnonzero(b == 10)
+    # digits[i + 1] is byte i less '0'; digits[0] is a 0 before the first line
+    digits = np.empty(len(b) + 1, np.uint8)
+    digits[0] = 0
+    np.subtract(b, np.uint8(48), out=digits[1:])
+    is_digit = digits < 10
+    # each line's first byte in `b`, and in `digits` the byte before it
+    first = np.empty(len(breaks) + 1, np.intp)
+    first[0] = 0
+    first[1:] = breaks + 1
+    last = np.append(breaks, len(b))  # each line's last byte in `digits`
+    neg = b[first] == 45  # `body` does not end in a newline
+    ndigits = last - first - neg
+    # every byte that is not a digit is a newline or a line's leading '-'
+    if (ndigits.min() < 1 or ndigits.max() > len(_POW10)
+            or np.count_nonzero(is_digit) - 1 != len(b) - len(breaks) - np.count_nonzero(neg)):
+        return None
+    digits *= is_digit  # so the newline or '-' before a line's digits reads 0
+    pos = last  # the k-th digit from the right; past a line's first, the 0 before it
+    magnitude = digits[pos].astype(np.uint64)
+    for k in range(1, int(ndigits.max())):
+        pos -= 1
+        np.maximum(pos, first, out=pos)
+        magnitude += digits[pos] * _POW10[k]
+    # up to 18 digits always fit; of 19, up to 2**63 - 1, or 2**63 after a '-'
+    if ndigits.max() == len(_POW10) and np.any(magnitude > _INT64_MAX + neg):
+        return None
+    values = magnitude.view(np.int64)  # 2**63 reads -2**63, which negates to itself
+    values *= 1 - 2 * neg.view(np.int8)
+    return values
+
+
+def _parse_text(path, body: bytes, width: int) -> FixedSequence:
+    body = body.rstrip()
+    values = _parse_plain_lines(body) if body else np.zeros(0, np.int64)
+    if values is None:
+        # a blank line, a '+' or spaces, a value past int64, or a bad line to report
+        values = _parse_lines(path, body.split(b"\n"))
     try:
         return FixedSequence(values, width)
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
 
 
-def read_binary(path) -> FixedSequence:
-    """Parse a header-framed binary sample file; width comes from the header.
+def read_text(path, width: int) -> FixedSequence:
+    """Parse newline-delimited decimals and validate them against width."""
+    return read_samples(path, width, "text")
 
-    Bits above the width in each sample's top byte are ignored.
-    """
-    with open(path, "rb") as fh:
-        header = fh.readline().rstrip(b"\n")
-        m = _HEADER_RE.match(header)
-        if not m:
-            raise DataFormatError(f"{path}: bad header {header[:60]!r}")
-        width = int(m.group(1))
-        count = int(m.group(2))
-        if width < 1:
-            raise DataFormatError(f"{path}: header width must be >= 1")
-        nb = bytes_per_sample(width)
-        payload = fh.read()
+
+def _first_line(data: bytes) -> bytes:
+    end = data.find(b"\n")
+    return data if end < 0 else data[:end]
+
+
+def _parse_binary(path, data: bytes) -> FixedSequence:
+    header = _first_line(data)
+    payload = memoryview(data)[len(header) + 1 :]
+    m = _HEADER_RE.match(header)
+    if not m:
+        raise DataFormatError(f"{path}: bad header {header[:60]!r}")
+    width = int(m.group(1))
+    count = int(m.group(2))
+    if width < 1:
+        raise DataFormatError(f"{path}: header width must be >= 1")
+    nb = bytes_per_sample(width)
     if len(payload) != nb * count:
         raise DataFormatError(
             f"{path}: expected {nb * count} payload bytes for count={count}, "
@@ -119,19 +165,35 @@ def read_binary(path) -> FixedSequence:
     return FixedSequence(samples, width)
 
 
+def read_binary(path) -> FixedSequence:
+    """Parse a header-framed binary sample file; width comes from the header.
+
+    Bits above the width in each sample's top byte are ignored.
+    """
+    return read_samples(path, 0, "binary")
+
+
+def _sniff(data: bytes) -> str:
+    return "binary" if _HEADER_RE.match(_first_line(data)) else "text"
+
+
 def sniff_format(path) -> str:
     """Guess text vs binary from the first line."""
     with open(path, "rb") as fh:
-        first = fh.readline().rstrip(b"\n")
-    return "binary" if _HEADER_RE.match(first) else "text"
+        return _sniff(fh.readline())
 
 
 def read_samples(path, width: int, fmt: str = "auto") -> FixedSequence:
-    """Read either format.  Text trusts `width`; binary carries its own."""
+    """Read either format.  Text trusts `width`; binary carries its own.
+
+    The file is opened once, also when `fmt` is "auto".
+    """
+    if fmt not in ("auto", "text", "binary"):
+        raise DataFormatError(f"format must be 'auto', 'text' or 'binary', got {fmt!r}")
+    with open(path, "rb") as fh:
+        data = fh.read()
     if fmt == "auto":
-        fmt = sniff_format(path)
+        fmt = _sniff(data)
     if fmt == "text":
-        return read_text(path, width)
-    if fmt == "binary":
-        return read_binary(path)
-    raise DataFormatError(f"format must be 'auto', 'text' or 'binary', got {fmt!r}")
+        return _parse_text(path, data, width)
+    return _parse_binary(path, data)

@@ -1,5 +1,7 @@
 """End-to-end command line tests driven through main(argv)."""
 
+import argparse
+
 import numpy as np
 import pytest
 
@@ -480,6 +482,21 @@ def test_unknown_command_exits_2(capsys):
 
 CFG = ["--n", "5", "--r", "16", "--bin", "5"]
 
+# flags a command would otherwise ignore: (argv, the flags the error names)
+IGNORED_FLAGS = {
+    "adder-exhaustive-cases": (["adder", "--width", "4", "--cases", "5"], ["--cases"]),
+    "adder-exhaustive-seed": (["adder", "--width", "8", "--seed", "1"], ["--seed"]),
+    "adder-default-width-cases": (["adder", "--cases", "5", "--seed", "1"],
+                                  ["--cases", "--seed"]),
+    "oracle-coeffs-in": (["oracle", *CFG, "--coeffs", "--in", "{tmp}/in.txt"], ["--in"]),
+    "oracle-coeffs-out": (["oracle", *CFG, "--coeffs", "--out", "{tmp}/o.txt"], ["--out"]),
+    "oracle-coeffs-compare": (["oracle", *CFG, "--coeffs", "--compare", "{tmp}/in.txt"],
+                              ["--compare"]),
+    "oracle-coeffs-format": (["oracle", *CFG, "--coeffs", "--format", "auto"], ["--format"]),
+    "oracle-compare-out": (["oracle", *CFG, "--in", "{tmp}/in.txt", "--compare",
+                            "{tmp}/in.txt", "--out", "{tmp}/o.txt"], ["--out"]),
+}
+
 
 @pytest.mark.parametrize("argv, code", [
     (["adder", "--width", "6"], 2),
@@ -494,9 +511,11 @@ CFG = ["--n", "5", "--r", "16", "--bin", "5"]
     (["simulate", *CFG, "--in", "/", "--out", "{tmp}/out.txt"], 3),
     (["simulate", *CFG, "--in", "{tmp}/in.txt", "--out", "/"], 3),
     (["simulate", "--config", "@/", "--in", "{tmp}/in.txt", "--out", "{tmp}/out.txt"], 3),
-], ids=["adder-width", "adder-depth", "adder-cases", "adder-depth-width",
-        "adder-depth-cases", "adder-depth-seed", "clocks-r-list",
-        "design-nonrec-widths", "simulate-in-dir", "simulate-out-dir", "config-dir"])
+] + [(argv, 2) for argv, _ in IGNORED_FLAGS.values()],
+    ids=["adder-width", "adder-depth", "adder-cases", "adder-depth-width",
+         "adder-depth-cases", "adder-depth-seed", "clocks-r-list",
+         "design-nonrec-widths", "simulate-in-dir", "simulate-out-dir", "config-dir",
+         *IGNORED_FLAGS])
 def test_bad_invocation_exit_code_and_one_line_error(capsys, tmp_path, argv, code):
     write_input(tmp_path / "in.txt", [1, 2, 3], 5)
     got, out, err = run(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
@@ -504,6 +523,76 @@ def test_bad_invocation_exit_code_and_one_line_error(capsys, tmp_path, argv, cod
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, flags", IGNORED_FLAGS.values(), ids=IGNORED_FLAGS.keys())
+def test_the_error_names_every_ignored_flag(capsys, tmp_path, argv, flags):
+    write_input(tmp_path / "in.txt", [1, 2, 3], 5)
+    got, _, err = run(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
+    assert got == 2
+    named = err.partition(" cannot be combined")[0].removeprefix("error: ")
+    assert named.split(", ") == flags
+    assert not (tmp_path / "o.txt").exists()
+
+
+# one parser for every call ------------------------------------------------
+
+def _call(capsys, argv, outfile):
+    """(exit code, stdout, output file bytes) of one main call."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr().out
+    data = outfile.read_bytes() if outfile.exists() else None
+    if outfile.exists():
+        outfile.unlink()
+    return code, out, data
+
+
+@pytest.mark.parametrize("first", [
+    ["simulate", *CFG, "--gate-model", "--pipelined", "--in", "{in}", "--out", "{out}",
+     "--out-format", "binary"],
+    ["adder", "--width", "6"],
+    ["simulate", *CFG, "--in", "/", "--out", "{out}"],
+    ["simulate", *CFG, "--format", "csv", "--in", "{in}", "--out", "{out}"],
+    ["--version"],
+    ["simulate", "--help"],
+], ids=["gate-pipelined", "bad-adder", "bad-input", "parse-error", "version", "help"])
+def test_a_call_leaves_no_state_for_the_next(capsys, tmp_path, first):
+    infile, outfile = tmp_path / "in.txt", tmp_path / "out.txt"
+    write_input(infile, [int(v) for v in np.arange(-16, 16).repeat(9)], 5)
+    calls = [[a.replace("{in}", str(infile)).replace("{out}", str(outfile)) for a in first],
+             ["simulate", *CFG, "--in", str(infile), "--out", str(outfile)]]
+    together = [_call(capsys, argv, outfile) for argv in calls]
+    man = read_manifest(tmp_path / "out.txt.manifest")
+    alone = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        alone.append(_call(capsys, argv, outfile))
+    assert together == alone
+    assert together[1][0] == 0
+    assert (man["adder_mode"], man["pipelined"], man["out_format"]) == ("fast", "0", "text")
+
+
+def test_main_builds_one_parser_for_many_calls(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    for argv in (["design", *CFG], ["clocks", "--n", "5", "--bin", "5"], ["design", *CFG]):
+        assert main(argv) == 0
+    with pytest.raises(SystemExit):
+        main(["frobnicate"])
+    assert built.count("combdec") == 1
+    assert cli.build_parser.cache_info().misses == 1
+    assert cli.build_parser.cache_info().hits == 3
+    capsys.readouterr()
 
 
 # validation --------------------------------------------------------------

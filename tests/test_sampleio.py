@@ -1,10 +1,13 @@
 """Round trips and failure modes for the text and binary sample formats."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from combdec import sampleio
 from combdec.fixedpoint import FixedSequence
 from combdec.sampleio import (
     DataFormatError,
@@ -191,3 +194,83 @@ def test_round_trip_across_the_dtype_switch(tmp_path, width, fmt):
     assert back.samples == tuple(vals)
     assert back.width == width
 
+
+
+# the bulk text parse against int() ------------------------------------------
+
+_INT64 = (1 << 63) - 1
+_EDGES = [0, 10**18 - 1, -(10**18 - 1), 10**18, -(10**18), _INT64, -_INT64 - 1]
+
+
+def _int64_lists(width):
+    """Lists biased toward 0, +-(10**18 - 1) and +-(2**63 - 1), inside `width` bits."""
+    half = 1 << (width - 1)
+    lo, hi = max(-half, -_INT64 - 1), min(half - 1, _INT64)
+    edges = [v for v in _EDGES if lo <= v <= hi] + [lo, hi, lo + 1, hi - 1]
+    values = st.one_of(st.sampled_from(edges), st.integers(min_value=lo, max_value=hi))
+    return st.lists(values, min_size=1, max_size=40)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), width=st.sampled_from([1, 2, 5, 16, 25, 33, 59, 60, 61, 62, 72]))
+def test_text_parse_equals_int_of_each_line(tmp_path_factory, data, width):
+    lines = [str(v) for v in data.draw(_int64_lists(width))]
+    p = tmp_path_factory.mktemp("bulk") / "s.txt"
+    p.write_text("\n".join(lines) + data.draw(st.sampled_from(["", "\n"])))
+    back = read_text(p, width)
+    assert back.samples == tuple(int(line) for line in lines)
+    assert back.array.dtype == (np.int64 if width <= 62 else object)
+
+
+# (file body, width, the values read or a pattern of the DataFormatError)
+NEAR_MISSES = {
+    "plus": ("+5\n3\n", 8, (5, 3)),
+    "leading-space": (" 5\n3\n", 8, (5, 3)),
+    "trailing-space": ("5 \n3\n", 8, (5, 3)),
+    "underscore": ("1_0\n3\n", 8, (10, 3)),
+    "carriage-return": ("5\r\n3\r\n", 8, (5, 3)),
+    "lone-minus": ("3\n-\n", 8, "line 2: b'-' is not an integer"),
+    "double-minus": ("3\n--1\n", 8, "line 2: b'--1' is not an integer"),
+    "trailing-minus": ("3\n1-\n", 8, "line 2: b'1-' is not an integer"),
+    "minus-zero": ("-0\n3\n", 8, (0, 3)),
+    "leading-zeros": ("007\n-007\n", 8, (7, -7)),
+    "19-digits": (f"{10**18}\n-{10**18}\n", 62, (10**18, -(10**18))),
+    "19-digits-too-wide": (f"3\n{10**18}\n", 60, f"sample 1 = {10**18} does not fit"),
+    "-2**63": (f"{-(1 << 63)}\n3\n", 64, (-(1 << 63), 3)),
+    "2**63": (f"3\n{1 << 63}\n", 72, (3, 1 << 63)),
+    "2**63-too-wide": (f"3\n{1 << 63}\n", 64, f"sample 1 = {1 << 63} does not fit"),
+    "2**70": (f"{1 << 70}\n3\n", 72, (1 << 70, 3)),
+    "2**70-too-wide": (f"3\n{1 << 70}\n", 62, f"sample 1 = {1 << 70} does not fit"),
+    "blank-line": ("3\n\n-4\n", 8, (3, -4)),
+    "empty-file": ("", 8, ()),
+    "only-newline": ("\n", 8, ()),
+}
+
+
+@pytest.mark.parametrize("body, width, expect", NEAR_MISSES.values(), ids=NEAR_MISSES.keys())
+def test_text_near_misses_of_a_plain_decimal_line(tmp_path, body, width, expect):
+    p = tmp_path / "s.txt"
+    p.write_bytes(body.encode())
+    if isinstance(expect, str):
+        with pytest.raises(DataFormatError, match=re.escape(expect)):
+            read_text(p, width)
+    else:
+        back = read_text(p, width)
+        assert back.samples == expect
+        assert back.array.dtype == (np.int64 if width <= 62 else object)
+
+
+@pytest.mark.parametrize("fmt", ["auto", "text", "binary"])
+def test_read_samples_opens_the_file_once(tmp_path, monkeypatch, fmt):
+    seq = FixedSequence([5, -6, 7], 8)
+    p = tmp_path / "s"
+    write_samples(p, seq, "text" if fmt == "text" else "binary")
+    opened = []
+
+    def counted(path, *args, **kwargs):
+        opened.append(path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(sampleio, "open", counted, raising=False)
+    assert read_samples(p, 8, fmt) == seq
+    assert opened == [p]
