@@ -55,7 +55,14 @@ def write_samples(path, seq: FixedSequence, fmt: str = "text"):
 
 
 def _parse_lines(path, lines):
-    """Python ints from decimal lines, skipping blank ones; names a bad line."""
+    """The int() of each line, skipping blank ones; names a bad line.
+
+    An int64 array when NumPy converts every line, else a list of Python ints.
+    """
+    try:
+        return np.array(lines, dtype=np.int64)  # NumPy calls int() on each line
+    except (ValueError, OverflowError):
+        pass  # a blank line, a value past int64, or a bad line to name
     values = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -106,7 +113,8 @@ def _parse_plain_lines(body: bytes):
     for k in range(1, int(ndigits.max())):
         pos -= 1
         np.maximum(pos, first, out=pos)
-        magnitude += digits[pos] * _POW10[k]
+        # uint64 by name: NumPy 1 would type the product by the power's value
+        magnitude += np.multiply(digits[pos], _POW10[k], dtype=np.uint64)
     # up to 18 digits always fit; of 19, up to 2**63 - 1, or 2**63 after a '-'
     if ndigits.max() == len(_POW10) and np.any(magnitude > _INT64_MAX + neg):
         return None
@@ -117,6 +125,9 @@ def _parse_plain_lines(body: bytes):
 
 def _parse_text(path, body: bytes, width: int) -> FixedSequence:
     body = body.rstrip()
+    if b"\r" in body:
+        # CRLF line ends; the per-line parse strips any '\r' left in a line
+        body = body.replace(b"\r\n", b"\n")
     values = _parse_plain_lines(body) if body else np.zeros(0, np.int64)
     if values is None:
         # a blank line, a '+' or spaces, a value past int64, or a bad line to report

@@ -498,41 +498,35 @@ IGNORED_FLAGS = {
 }
 
 
-@pytest.mark.parametrize("argv, code", [
-    (["adder", "--width", "6"], 2),
-    (["adder", "--depth", "6"], 2),
-    (["adder", "--cases", "-1"], 2),
-    (["adder", "--depth", "8,16", "--width", "12"], 2),
-    (["adder", "--depth", "8,16", "--cases", "100"], 2),
-    (["adder", "--depth", "8,16", "--seed", "1"], 2),
-    (["clocks", "--n", "5", "--bin", "5", "--r-list", "a"], 2),
+@pytest.mark.parametrize("argv, code, flags", [
+    (["adder", "--width", "6"], 2, None),
+    (["adder", "--depth", "6"], 2, None),
+    (["adder", "--cases", "-1"], 2, None),
+    (["adder", "--depth", "8,16", "--width", "12"], 2, None),
+    (["adder", "--depth", "8,16", "--cases", "100"], 2, None),
+    (["adder", "--depth", "8,16", "--seed", "1"], 2, None),
+    (["clocks", "--n", "5", "--bin", "5", "--r-list", "a"], 2, None),
     (["design", "--n", "5", "--r", "8", "--bin", "5", "--arch", "nonrec",
-      "--widths", "20,18,16,14,12"], 2),
-    (["simulate", *CFG, "--in", "/", "--out", "{tmp}/out.txt"], 3),
-    (["simulate", *CFG, "--in", "{tmp}/in.txt", "--out", "/"], 3),
-    (["simulate", "--config", "@/", "--in", "{tmp}/in.txt", "--out", "{tmp}/out.txt"], 3),
-] + [(argv, 2) for argv, _ in IGNORED_FLAGS.values()],
+      "--widths", "20,18,16,14,12"], 2, None),
+    (["simulate", *CFG, "--in", "/", "--out", "{tmp}/out.txt"], 3, None),
+    (["simulate", *CFG, "--in", "{tmp}/in.txt", "--out", "/"], 3, None),
+    (["simulate", "--config", "@/", "--in", "{tmp}/in.txt", "--out", "{tmp}/out.txt"], 3, None),
+] + [(argv, 2, flags) for argv, flags in IGNORED_FLAGS.values()],
     ids=["adder-width", "adder-depth", "adder-cases", "adder-depth-width",
          "adder-depth-cases", "adder-depth-seed", "clocks-r-list",
          "design-nonrec-widths", "simulate-in-dir", "simulate-out-dir", "config-dir",
          *IGNORED_FLAGS])
-def test_bad_invocation_exit_code_and_one_line_error(capsys, tmp_path, argv, code):
+def test_bad_invocation_exit_code_and_one_line_error(capsys, tmp_path, argv, code, flags):
     write_input(tmp_path / "in.txt", [1, 2, 3], 5)
     got, out, err = run(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
     assert got == code
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("argv, flags", IGNORED_FLAGS.values(), ids=IGNORED_FLAGS.keys())
-def test_the_error_names_every_ignored_flag(capsys, tmp_path, argv, flags):
-    write_input(tmp_path / "in.txt", [1, 2, 3], 5)
-    got, _, err = run(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
-    assert got == 2
-    named = err.partition(" cannot be combined")[0].removeprefix("error: ")
-    assert named.split(", ") == flags
-    assert not (tmp_path / "o.txt").exists()
+    if flags is not None:  # the error names every flag the command would ignore
+        named = err.partition(" cannot be combined")[0].removeprefix("error: ")
+        assert named.split(", ") == flags
+        assert not (tmp_path / "o.txt").exists()
 
 
 # one parser for every call ------------------------------------------------

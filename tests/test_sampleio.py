@@ -216,7 +216,8 @@ def _int64_lists(width):
 def test_text_parse_equals_int_of_each_line(tmp_path_factory, data, width):
     lines = [str(v) for v in data.draw(_int64_lists(width))]
     p = tmp_path_factory.mktemp("bulk") / "s.txt"
-    p.write_text("\n".join(lines) + data.draw(st.sampled_from(["", "\n"])))
+    end = data.draw(st.sampled_from(["\n", "\r\n"]))
+    p.write_bytes((end.join(lines) + data.draw(st.sampled_from(["", end]))).encode())
     back = read_text(p, width)
     assert back.samples == tuple(int(line) for line in lines)
     assert back.array.dtype == (np.int64 if width <= 62 else object)
